@@ -5,7 +5,11 @@ circuit is linearized about its DC operating point and solved with
 complex phasors over a frequency sweep — SPICE's ``.AC`` analysis.
 Used to verify filter responses and op-amp macromodel bandwidth.
 
-Nonlinear elements are linearized at the operating point:
+The system is assembled from the transient engine's
+:class:`~repro.spice.mna.StampTable`, so there is one set of stamps for
+DC, transient and AC.  ``A(ω) = G + jω·C``: ``G`` is the DC Jacobian at
+the operating point and ``C`` holds the capacitor stamps.  Nonlinear
+elements are thereby linearized at the operating point:
 
 * :class:`~repro.spice.mna.SaturatingVcvs` becomes a VCVS with the
   tanh's local slope;
@@ -33,19 +37,7 @@ from repro.spice.linalg import (
     guarded_solve,
     resolve_backend,
 )
-from repro.spice.mna import (
-    Capacitor,
-    Circuit,
-    CurrentSource,
-    FunctionSource,
-    MnaSolver,
-    Resistor,
-    SaturatingVcvs,
-    Switch,
-    Vccs,
-    Vcvs,
-    VoltageSource,
-)
+from repro.spice.mna import Circuit, MnaSolver
 
 
 @dataclass
@@ -110,19 +102,16 @@ class AcSolver:
         self._mna = MnaSolver(circuit, linalg=linalg)
         self._size = self._mna._size
         self._operating_point = None
-        sources = [
-            e for e in circuit.elements if isinstance(e, VoltageSource)
-        ]
+        sources = self._mna.stamps.voltage_sources
         if not sources:
             raise SimulationError("AC analysis needs a voltage source")
+        by_name = {source.name: source for source in sources}
         if ac_source is None:
-            self.ac_source = sources[0].name
-        else:
-            if not any(s.name == ac_source for s in sources):
-                raise SimulationError(
-                    f"no voltage source named {ac_source!r}"
-                )
-            self.ac_source = ac_source
+            ac_source = sources[0].name
+        elif ac_source not in by_name:
+            raise SimulationError(f"no voltage source named {ac_source!r}")
+        self.ac_source = ac_source
+        self._ac_branch = by_name[ac_source].branch_index
 
     # -- operating point -----------------------------------------------------
 
@@ -133,125 +122,6 @@ class AcSolver:
             )
             self._operating_point = op
         return self._operating_point
-
-    def _voltage_at(self, x: np.ndarray, node: str) -> float:
-        index = self._mna._index(node)
-        return 0.0 if index < 0 else float(x[index])
-
-    # -- stamping -------------------------------------------------------------
-
-    def _assemble_parts(
-        self, bias: np.ndarray
-    ) -> tuple:
-        """The ω-independent parts of the AC system.
-
-        Every stamp except the capacitor's is frequency-independent, so
-        the system factors as ``A(ω) = G + jω·C`` with one shared
-        right-hand side ``b`` — assembled once per sweep, for every
-        backend, instead of once per frequency point.
-        """
-        size = self._size
-        G = np.zeros((size, size))
-        C = np.zeros((size, size))
-        b = np.zeros(size, dtype=complex)
-        for i in range(self._mna._n):
-            G[i, i] += self._mna.gmin
-
-        idx = self._mna._index
-
-        def stamp(matrix, i, j, value):
-            if i >= 0 and j >= 0:
-                matrix[i, j] += value
-
-        for element in self.circuit.elements:
-            if isinstance(element, Resistor):
-                g = 1.0 / element.resistance
-                i, j = idx(element.n1), idx(element.n2)
-                stamp(G, i, i, g)
-                stamp(G, j, j, g)
-                stamp(G, i, j, -g)
-                stamp(G, j, i, -g)
-            elif isinstance(element, Switch):
-                vc = self._voltage_at(bias, element.control)
-                on = vc > element.threshold
-                if element.invert:
-                    on = not on
-                g = 1.0 / (element.ron if on else element.roff)
-                i, j = idx(element.n1), idx(element.n2)
-                stamp(G, i, i, g)
-                stamp(G, j, j, g)
-                stamp(G, i, j, -g)
-                stamp(G, j, i, -g)
-            elif isinstance(element, Capacitor):
-                c = element.capacitance
-                i, j = idx(element.n1), idx(element.n2)
-                stamp(C, i, i, c)
-                stamp(C, j, j, c)
-                stamp(C, i, j, -c)
-                stamp(C, j, i, -c)
-            elif isinstance(element, CurrentSource):
-                continue  # independent sources are quiet in AC
-            elif isinstance(element, VoltageSource):
-                i, j = idx(element.npos), idx(element.nneg)
-                k = element.branch_index
-                stamp(G, i, k, 1.0)
-                stamp(G, j, k, -1.0)
-                stamp(G, k, i, 1.0)
-                stamp(G, k, j, -1.0)
-                if element.name == self.ac_source:
-                    b[k] += 1.0  # 1 V AC stimulus
-            elif isinstance(element, Vcvs):
-                i, j = idx(element.npos), idx(element.nneg)
-                ci, cj = idx(element.cpos), idx(element.cneg)
-                k = element.branch_index
-                stamp(G, i, k, 1.0)
-                stamp(G, j, k, -1.0)
-                stamp(G, k, i, 1.0)
-                stamp(G, k, j, -1.0)
-                stamp(G, k, ci, -element.gain)
-                stamp(G, k, cj, element.gain)
-            elif isinstance(element, Vccs):
-                i, j = idx(element.npos), idx(element.nneg)
-                ci, cj = idx(element.cpos), idx(element.cneg)
-                stamp(G, i, ci, element.gm)
-                stamp(G, i, cj, -element.gm)
-                stamp(G, j, ci, -element.gm)
-                stamp(G, j, cj, element.gm)
-            elif isinstance(element, SaturatingVcvs):
-                i, j = idx(element.npos), idx(element.nneg)
-                ci, cj = idx(element.cpos), idx(element.cneg)
-                k = element.branch_index
-                vc = self._voltage_at(bias, element.cpos) - self._voltage_at(
-                    bias, element.cneg
-                )
-                slope = element.derivative(vc)
-                stamp(G, i, k, 1.0)
-                stamp(G, j, k, -1.0)
-                stamp(G, k, i, 1.0)
-                stamp(G, k, j, -1.0)
-                stamp(G, k, ci, -slope)
-                stamp(G, k, cj, slope)
-            elif isinstance(element, FunctionSource):
-                out = idx(element.nout)
-                k = element.branch_index
-                values = [
-                    self._voltage_at(bias, n) for n in element.inputs
-                ]
-                grads = element.partials(values)
-                stamp(G, out, k, 1.0)
-                stamp(G, k, out, 1.0)
-                for node, grad in zip(element.inputs, grads):
-                    stamp(G, k, idx(node), -grad)
-            else:  # pragma: no cover - defensive
-                raise SimulationError(
-                    f"AC analysis cannot stamp {type(element).__name__}"
-                )
-        return G, C, b
-
-    def _assemble(self, omega: float, bias: np.ndarray) -> tuple:
-        """One frequency point's complex system (compatibility path)."""
-        G, C, b = self._assemble_parts(bias)
-        return G + (1j * omega) * C, b.copy()
 
     # -- sweep ------------------------------------------------------------------
 
@@ -317,8 +187,13 @@ class AcSolver:
         frequencies = np.logspace(
             math.log10(f_start), math.log10(f_stop), n_points
         )
-        bias = self._bias()
-        G, C, b = self._assemble_parts(bias)
+        # A(ω) = G + jω·C, assembled once per sweep, with one shared
+        # right-hand side.
+        stamps = self._mna.stamps
+        G = stamps.linearize(self._bias())
+        C = stamps.capacitance()
+        b = np.zeros(self._size, dtype=complex)
+        b[self._ac_branch] += 1.0  # 1 V AC stimulus
         backend = resolve_backend(
             self._linalg, size=self._size, grid=n_points
         )

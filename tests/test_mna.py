@@ -172,6 +172,17 @@ class TestTransient:
         with pytest.raises(SimulationError):
             MnaSolver(c).transient(1e-3, 0.0)
 
+    def test_run_shorter_than_half_a_step_rejected(self):
+        c = Circuit()
+        c.vsource("V1", "a", "0", dc(1.0))
+        c.resistor("R", "a", "0", 1.0e3)
+        # t_end / dt == 0.5 exactly, which rounds (half to even) to zero
+        # steps; so does anything shorter.
+        for t_end in (0.25, 0.1):
+            with pytest.raises(SimulationError, match="t_end=.*dt=0.5"):
+                MnaSolver(c).transient(t_end, 0.5)
+        assert len(MnaSolver(c).transient(0.375, 0.5).time) == 1
+
 
 class TestCircuitConstruction:
     def test_duplicate_element_rejected(self):
