@@ -159,26 +159,31 @@ def rc_ladder_circuit(n_sections: int) -> Circuit:
     return circuit
 
 
-def _time_ac_sweep(circuit: Circuit, probe: str, backend: str) -> float:
+def _time_ac_sweep(
+    circuit: Circuit, probe: str, force, backend: str
+) -> float:
+    force(backend)
     best = float("inf")
     for _ in range(AC_REPEATS):
         start = time.perf_counter()
         ac_sweep(
             circuit, 10.0, 1e6,
             points_per_decade=AC_POINTS_PER_DECADE,
-            probes=[probe], linalg=backend,
+            probes=[probe],
         )
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def run_ac_backend_series():
+def run_ac_backend_series(force):
+    """``force`` pins the engines to one backend (the ``force_backend``
+    fixture)."""
     rows = []
     for sections in AC_SIZES:
         circuit = rc_ladder_circuit(sections)
         probe = f"n{sections}"
-        dense_s = _time_ac_sweep(circuit, probe, "dense")
-        batched_s = _time_ac_sweep(circuit, probe, "batched")
+        dense_s = _time_ac_sweep(circuit, probe, force, "dense")
+        batched_s = _time_ac_sweep(circuit, probe, force, "batched")
         row = {
             "sections": sections,
             "unknowns": sections + 2,
@@ -194,7 +199,7 @@ def run_ac_backend_series():
             registry.disable()
             try:
                 row["ac_sweep_sparse_s"] = _time_ac_sweep(
-                    circuit, probe, "sparse"
+                    circuit, probe, force, "sparse"
                 )
             finally:
                 registry.enable()
@@ -202,8 +207,10 @@ def run_ac_backend_series():
     return rows
 
 
-def test_ac_backend_scaling(benchmark, bench_metrics):
-    rows = benchmark.pedantic(run_ac_backend_series, rounds=1, iterations=1)
+def test_ac_backend_scaling(benchmark, bench_metrics, force_backend):
+    rows = benchmark.pedantic(
+        run_ac_backend_series, args=(force_backend,), rounds=1, iterations=1
+    )
     bench_metrics["rows"] = rows
     banner(
         "Kernel scaling: AC sweep backends (dense loop vs batched LU"

@@ -36,6 +36,35 @@ def fault_injector():
     yield from pytest_fixture()
 
 
+@pytest.fixture
+def force_backend(monkeypatch):
+    """Pin the SPICE engines to one linear-solver backend.
+
+    The engines pick their backend themselves through
+    ``resolve_backend``; tests that compare backends substitute that
+    selector in both engines that call it (the AC sweep and the MNA
+    bias/transient solves), undone at teardown.  Yields a function
+    taking ``"dense"``, ``"batched"`` or ``"sparse"``.
+    """
+    from repro.spice import ac, linalg, mna
+
+    solvers = {
+        "dense": linalg.DenseSolver,
+        "batched": linalg.BatchedSolver,
+        "sparse": linalg.SparseSolver,
+    }
+
+    def force(name):
+        solver = solvers[name]
+        for module in (ac, mna):
+            monkeypatch.setattr(
+                module, "resolve_backend",
+                lambda size=0, grid=1: solver(),
+            )
+
+    return force
+
+
 class _BoundedLog:
     """Session-wide recorder that trims its in-memory buffer.
 

@@ -75,7 +75,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_executor_args(parser, what: str) -> None:
-    """The shared ``--executor`` / ``--workers`` / ``--jobs`` trio."""
+    """The shared ``--executor`` / ``--workers`` pair."""
     parser.add_argument(
         "--executor", choices=("serial", "thread", "process"),
         default=None,
@@ -88,34 +88,13 @@ def _add_executor_args(parser, what: str) -> None:
         help="worker count for --executor (default: the CPU count "
         "when an executor is chosen, else 1)",
     )
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="deprecated alias: thread-pool width (use "
-        "--executor/--workers)",
-    )
-
-
-def _add_linalg_arg(parser) -> None:
-    """The shared ``--linalg`` backend knob."""
-    from repro.spice.linalg import BACKENDS
-
-    parser.add_argument(
-        "--linalg", choices=BACKENDS, default="auto",
-        help="linear-solver backend for SPICE-level analyses: auto, "
-        "dense (reference), batched (vectorized AC grids), or sparse "
-        "(scipy splu; falls back to dense without scipy).  Results "
-        "are identical across backends",
-    )
 
 
 def _resolve_parallel(args: argparse.Namespace):
-    """A :class:`~repro.pipeline.ParallelOptions` from the CLI trio.
+    """A :class:`~repro.pipeline.ParallelOptions` from the CLI pair.
 
-    ``--jobs`` is the deprecated width knob: honored (as the thread
-    backend) with a stderr warning, overridden by the first-class
-    flags when both are given.  ``--executor`` without ``--workers``
-    defaults to every available core; ``--workers`` without
-    ``--executor`` picks the thread backend.
+    ``--executor`` without ``--workers`` defaults to every available
+    core; ``--workers`` without ``--executor`` picks the thread backend.
     """
     import os
 
@@ -123,14 +102,6 @@ def _resolve_parallel(args: argparse.Namespace):
 
     executor = getattr(args, "executor", None)
     workers = getattr(args, "workers", None)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        print(
-            "warning: --jobs is deprecated; use --executor/--workers",
-            file=sys.stderr,
-        )
-        if executor is None and workers is None:
-            return ParallelOptions.from_jobs(jobs)
     if executor is None and workers is None:
         return ParallelOptions()
     if workers is None:
@@ -198,7 +169,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             telemetry=bus,
             ledger=resolve_ledger(args.ledger, args.no_ledger),
             deadline_s=args.budget,
-            linalg=args.linalg,
         )
         result = synthesize(
             source,
@@ -364,14 +334,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ac(args: argparse.Namespace) -> int:
-    from repro.flow import FlowOptions
     from repro.spice import ac_sweep, dc, elaborate
 
     source = _load_source(args.file)
     result = synthesize(
         source,
         entity_name=args.entity,
-        options=FlowOptions(linalg=args.linalg),
         source_filename=_source_filename(args.file),
     )
     in_ports = [
@@ -399,7 +367,6 @@ def _cmd_ac(args: argparse.Namespace) -> int:
         points_per_decade=args.points,
         probes=[out],
         ac_source=f"VIN_{in_ports[0]}",
-        linalg=args.linalg,
     )
     print(f"* AC response {in_ports[0]} -> {out_ports[0]}")
     print(f"{'f [Hz]':>12}  {'mag [dB]':>9}  {'phase [deg]':>11}")
@@ -468,9 +435,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not files:
         print(f"error: no VASS sources under {root}", file=sys.stderr)
         return 1
-    options = FlowOptions(
-        recovery=not args.no_recovery, linalg=args.linalg
-    )
+    options = FlowOptions(recovery=not args.no_recovery)
     cache = (
         ArtifactCache(disk_dir=args.cache)
         if args.cache is not None
@@ -658,9 +623,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.pipeline import ArtifactCache, ParallelOptions
     from repro.serve import JobManager, create_server
 
-    if args.jobs is not None:
-        print("warning: --jobs is deprecated; use --workers",
-              file=sys.stderr)
     if args.token is None and args.host not in (
         "127.0.0.1", "localhost", "::1"
     ):
@@ -670,7 +632,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    width = args.workers or args.jobs or 2
+    width = args.workers or 2
     execution = ParallelOptions(
         executor=args.executor or "thread", workers=width,
     )
@@ -839,7 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ledger", action="store_true",
         help="do not record this run in the ledger",
     )
-    _add_linalg_arg(p_synth)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_profile = sub.add_parser(
@@ -921,8 +882,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ac.add_argument("--entity", default=None)
     p_ac.add_argument("--f-start", type=float, default=10.0)
     p_ac.add_argument("--f-stop", type=float, default=1e5)
-    p_ac.add_argument("--points", type=int, default=5)
-    _add_linalg_arg(p_ac)
+    p_ac.add_argument("--points", type=_positive_int, default=5)
     p_ac.set_defaults(func=_cmd_ac)
 
     p_report = sub.add_parser(
@@ -1005,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ledger", action="store_true",
         help="do not record this run in the ledger",
     )
-    _add_linalg_arg(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 
     p_metrics = sub.add_parser(
@@ -1056,10 +1015,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
         help="resident synthesis workers (default 2)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="deprecated alias for --workers",
     )
     p_serve.add_argument(
         "--queue-limit", type=_positive_int, default=64, metavar="N",

@@ -21,7 +21,6 @@ cache's on-disk tier).
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -83,7 +82,6 @@ from repro.robust.recovery import (
     RecoveryOptions,
     relax_constraints,
 )
-from repro.spice.linalg import use_backend
 from repro.synth import (
     InterfacingOptions,
     MapperOptions,
@@ -147,11 +145,6 @@ class FlowOptions:
     #: workers, true multi-core).  Results are deterministic — and
     #: byte-identical — regardless of backend and worker count.
     parallel: ParallelOptions = field(default_factory=ParallelOptions)
-    #: deprecated — the pre-:class:`ParallelOptions` width knob.  Any
-    #: non-``None`` value emits a :class:`DeprecationWarning` and is
-    #: mapped onto ``parallel`` (``jobs > 1`` → the thread backend)
-    #: unless ``parallel`` was set explicitly, which wins.
-    jobs: Optional[int] = None
     #: artifact cache shared across runs (``vase synth --cache`` wires
     #: an on-disk one).  ``None`` means a private per-run cache: stages
     #: are still reused *within* the run — ladder rungs, solver
@@ -176,29 +169,6 @@ class FlowOptions:
     #: knob like ``parallel``: deliberately excluded from every content
     #: fingerprint (stage cache keys, ledger options digests).
     deadline_s: Optional[float] = None
-    #: linear-solver backend preference for every SPICE-level solve of
-    #: this run (``auto`` / ``dense`` / ``batched`` / ``sparse``, see
-    #: :mod:`repro.spice.linalg`).  Installed as the thread-local
-    #: backend default for the run's duration.  Results are
-    #: backend-identical by construction, so — like ``parallel`` and
-    #: ``deadline_s`` — the knob is deliberately excluded from every
-    #: content fingerprint (stage cache keys, ledger options digests).
-    linalg: str = "auto"
-
-    def __post_init__(self):
-        if self.jobs is not None:
-            warnings.warn(
-                "FlowOptions.jobs is deprecated; use "
-                "FlowOptions.parallel=ParallelOptions(executor=..., "
-                "workers=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.parallel == ParallelOptions():
-                self.parallel = ParallelOptions.from_jobs(self.jobs)
-            # Consume the shim so dataclasses.replace() on this bag
-            # does not warn again (the mapping is already on parallel).
-            self.jobs = None
 
 
 @dataclass
@@ -481,9 +451,6 @@ def synthesize(
             tracer = stack.enter_context(tracing())
         if options.explog and explog is None:
             explog = stack.enter_context(explogging())
-        # Linear-solver preference for every SPICE-level solve of this
-        # run; thread-local, so concurrent served jobs don't race.
-        stack.enter_context(use_backend(options.linalg))
         run_id = current_run_id()
         if run_id is None:
             run_id = new_run_id()
@@ -623,7 +590,6 @@ def transportable_options(options: FlowOptions) -> FlowOptions:
         telemetry=None,
         ledger=None,
         parallel=ParallelOptions(),
-        jobs=None,
     )
 
 

@@ -233,8 +233,8 @@ def _jsonable(value: object) -> object:
 # -- the active tracer (per thread) ---------------------------------------------
 #
 # Thread-local, not a module global: a Tracer's span stack is not
-# thread-safe, and the pipeline's worker pools (explore_solvers,
-# ``vase batch --jobs``) run flow stages on worker threads.  Workers
+# thread-safe, and the thread executor (explore_solvers, ``vase batch
+# --executor thread``) runs flow stages on worker threads.  Workers
 # simply see no active tracer (their spans are no-ops); the thread
 # that enabled tracing keeps its tree exactly as before.
 

@@ -7,8 +7,6 @@ See :mod:`repro.pipeline.stages` for the stage graph,
 (``serial`` / ``thread`` / ``process``) behind
 :class:`~repro.pipeline.executor.ParallelOptions`, used by
 ``FlowOptions.explore_solvers``, ``vase batch`` and ``vase serve``.
-:mod:`repro.pipeline.parallel` keeps the underlying bounded thread
-pool.
 """
 
 from repro.pipeline.cache import (
@@ -34,7 +32,6 @@ from repro.pipeline.fingerprint import (
     library_fingerprint,
     stage_key,
 )
-from repro.pipeline.parallel import WorkerPool, run_parallel
 from repro.pipeline.stages import (
     ALL_STAGES,
     COMPILE,
@@ -71,12 +68,10 @@ __all__ = [
     "StageDef",
     "Task",
     "ThreadExecutor",
-    "WorkerPool",
     "canonicalize",
     "create_executor",
     "fingerprint",
     "library_fingerprint",
-    "run_parallel",
     "stage_key",
     "stats_delta",
     "worker_cache",

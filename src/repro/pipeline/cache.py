@@ -8,8 +8,8 @@ Two tiers:
   artifacts leaking into another's timing;
 * an opt-in **on-disk store** (``disk_dir``, ``vase synth --cache``)
   of pickled artifacts keyed by the stage's content hash, which
-  survives process restarts and is shared safely between the worker
-  threads of ``vase batch --jobs``.
+  survives process restarts and is shared safely between the workers
+  of ``vase batch --executor thread|process``.
 
 Artifacts are treated as immutable: :meth:`ArtifactCache.put` stores a
 private deep copy and :meth:`ArtifactCache.get` hands back a fresh deep

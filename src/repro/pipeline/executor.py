@@ -1,19 +1,18 @@
 """Pluggable execution backends: one API, three ways to run tasks.
 
 Every parallel surface of the flow — ``FlowOptions.explore_solvers``,
-``vase batch``, the ``vase serve`` resident pool — used to hard-code a
-thread pool behind a bare ``jobs: int`` knob.  Threads are the wrong
-tool for the CPU-bound half of the flow: the branch-and-bound mapper
-and the MNA factorizations serialize on the GIL, so ``--jobs 4`` buys
-fault isolation and overlap of the (small) I/O slices but no
-multi-core speedup.  This module makes the executor a first-class
-choice:
+``vase batch``, the ``vase serve`` resident pool — runs its tasks on
+one of these backends.  Threads are the wrong tool for the CPU-bound
+half of the flow: the branch-and-bound mapper and the MNA
+factorizations serialize on the GIL, so a thread pool buys fault
+isolation and overlap of the (small) I/O slices but no multi-core
+speedup.  This module makes the executor a first-class choice:
 
 ``serial``
     Run tasks inline on the calling thread, in order.  The reference
     semantics every other backend must be output-identical to.
 ``thread``
-    The existing bounded :class:`~repro.pipeline.parallel.WorkerPool`.
+    A bounded :class:`~concurrent.futures.ThreadPoolExecutor`.
     Cheap to start, shares all in-process state (artifact cache
     memory tier, metrics registry, telemetry bus) — but GIL-bound.
 ``process``
@@ -73,13 +72,12 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics import VaseError
-from repro.pipeline.parallel import WorkerPool
 
 #: The executor kinds ``ParallelOptions.executor`` accepts.
 EXECUTOR_KINDS = ("serial", "thread", "process")
@@ -99,13 +97,12 @@ _POLL_S = 0.2
 class ParallelOptions:
     """Where and how wide parallel work runs.
 
-    Replaces the bare ``jobs: int`` knob: the executor *kind* and the
-    worker count are one value, validated at construction, carried on
-    :class:`~repro.flow.FlowOptions` and accepted by ``vase
-    synth|batch|serve --executor/--workers``.  Deliberately excluded
-    from every content fingerprint (stage cache keys, ledger options
-    digests): the backend must never change *what* is produced, only
-    how fast.
+    The executor *kind* and the worker count are one value, validated
+    at construction, carried on :class:`~repro.flow.FlowOptions` and
+    accepted by ``vase synth|batch|serve --executor/--workers``.
+    Deliberately excluded from every content fingerprint (stage cache
+    keys, ledger options digests): the backend must never change
+    *what* is produced, only how fast.
     """
 
     #: one of :data:`EXECUTOR_KINDS`
@@ -125,14 +122,6 @@ class ParallelOptions:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive (or None)")
-
-    @classmethod
-    def from_jobs(cls, jobs: int) -> "ParallelOptions":
-        """The legacy ``jobs: int`` knob as a :class:`ParallelOptions`
-        (``jobs > 1`` meant the thread pool, ``jobs == 1`` serial)."""
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        return cls(executor="thread" if jobs > 1 else "serial", workers=jobs)
 
     def bounded(self, n_tasks: int) -> "ParallelOptions":
         """A copy whose width never exceeds the task count."""
@@ -236,17 +225,17 @@ class SerialExecutor(Executor):
 class ThreadExecutor(Executor):
     """The bounded in-process thread pool (GIL-bound but cheap).
 
-    Wraps :class:`~repro.pipeline.parallel.WorkerPool`.  The
-    submitting thread's telemetry run id is captured per task and
-    re-entered on the worker thread, so events from workers land on
-    the run that submitted them.
+    The submitting thread's telemetry run id and lifecycle context are
+    captured per task and re-entered on the worker thread, so events
+    from workers land on the run that submitted them and a cancel of
+    its token reaches them.
     """
 
     kind = "thread"
 
     def __init__(self, workers: int):
         super().__init__(workers=workers)
-        self._pool = WorkerPool(workers)
+        self._pool = ThreadPoolExecutor(max_workers=workers)
 
     def submit(self, fn: Callable, *args) -> "Future":
         from repro.instrument.events import current_run_id, run_scope

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
@@ -389,7 +388,6 @@ def run_batch(
     cache: Optional[ArtifactCache] = None,
     ledger=None,
     source_label: Optional[str] = None,
-    jobs: Optional[int] = None,
     journal=None,
 ) -> BatchReport:
     """Synthesize every file, isolating failures per file.
@@ -410,9 +408,7 @@ def run_batch(
     the tail of the run.  ``cache`` is an artifact cache shared by
     every file of the run (stage keys are content-addressed, so
     sharing is always safe); under the ``process`` backend its on-disk
-    tier is the store the worker processes share.  ``jobs`` is the
-    deprecated pre-executor width knob (mapped onto ``parallel``, with
-    a :class:`DeprecationWarning`).
+    tier is the store the worker processes share.
 
     ``journal`` is a :class:`~repro.robust.journal.BatchJournal`: each
     completed entry is appended (fsync'd) as it finishes, and entries
@@ -434,15 +430,6 @@ def run_batch(
 
     from repro.flow import FlowOptions, transportable_options
 
-    if jobs is not None:
-        warnings.warn(
-            "run_batch(jobs=...) is deprecated; pass "
-            "parallel=ParallelOptions(executor=..., workers=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if parallel is None:
-            parallel = ParallelOptions.from_jobs(jobs)
     if options is None:
         options = FlowOptions(recovery=True)
     if parallel is None:

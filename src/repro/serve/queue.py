@@ -8,9 +8,9 @@ HTTP-specific, so it is directly testable:
   (:func:`build_job_options`), assigns the job id (which doubles as
   the telemetry run id), and rejects with :class:`QueueFullError` once
   ``queue_limit`` jobs are already waiting;
-* **execution** — a persistent
-  :class:`~repro.pipeline.parallel.WorkerPool` of orchestration
-  threads runs each job through
+* **execution** — a resident
+  :class:`~repro.pipeline.ThreadExecutor` of orchestration threads
+  runs each job through
   :func:`~repro.robust.batch.run_source`, the batch runner's
   fault-isolating core, inside a
   :func:`~repro.instrument.events.run_scope` tagged with the job id —
@@ -58,9 +58,9 @@ from repro.pipeline import (
     EXECUTOR_KINDS,
     ParallelOptions,
     ProcessExecutor,
+    ThreadExecutor,
     worker_cache,
 )
-from repro.pipeline.parallel import WorkerPool
 from repro.robust.lifecycle import (
     CancellationToken,
     RunContext,
@@ -77,9 +77,9 @@ TERMINAL_STATUSES = ("ok", "degraded", "failed", STATUS_CANCELLED)
 #: whitelisted per-job flow options a POST may override
 ALLOWED_OPTIONS = (
     "deadline_s", "budget_s", "recovery", "explore_solvers",
-    "executor", "workers", "jobs",
+    "executor", "workers",
 )
-#: cap on the per-job ``workers``/``jobs`` override (solver-exploration
+#: cap on the per-job ``workers`` override (solver-exploration
 #: fan-out; the ``process`` backend is capped by the same bound)
 MAX_JOB_FANOUT = 8
 
@@ -157,7 +157,6 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
             if not isinstance(value, bool):
                 raise JobOptionsError(f"{name} must be a boolean")
             options = replace(options, **{name: value})
-    parallel = base.parallel
     kind: Optional[str] = None
     width: Optional[int] = None
     if "executor" in payload:
@@ -173,18 +172,8 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
             raise JobOptionsError(
                 f"workers must be an integer in [1, {MAX_JOB_FANOUT}]"
             )
-    if "jobs" in payload:
-        fanout = payload["jobs"]
-        if isinstance(fanout, bool) or not isinstance(fanout, int) \
-                or not 1 <= fanout <= MAX_JOB_FANOUT:
-            raise JobOptionsError(
-                f"jobs must be an integer in [1, {MAX_JOB_FANOUT}]"
-            )
-        # The deprecated alias: only meaningful when the first-class
-        # knobs are absent.
-        if kind is None and width is None:
-            parallel = ParallelOptions.from_jobs(fanout)
     if kind is not None or width is not None:
+        parallel = base.parallel
         if width is None:
             width = max(1, parallel.workers)
         if kind is None:
@@ -192,9 +181,9 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
                 parallel.executor if parallel.executor != "serial"
                 else ("thread" if width > 1 else "serial")
             )
-        parallel = ParallelOptions(executor=kind, workers=width)
-    if parallel != base.parallel:
-        options = replace(options, parallel=parallel)
+        options = replace(
+            options, parallel=ParallelOptions(executor=kind, workers=width)
+        )
     return options
 
 
@@ -441,7 +430,7 @@ class JobManager:
             1 if self.execution.executor == "serial"
             else max(1, self.execution.workers)
         )
-        self._pool = WorkerPool(width)
+        self._pool = ThreadExecutor(width)
         self._remote: Optional[ProcessExecutor] = (
             ProcessExecutor(
                 width, task_timeout_s=self.execution.task_timeout_s
@@ -518,7 +507,7 @@ class JobManager:
                     CATEGORY_LIFECYCLE,
                     {"kind": "job", "phase": "queued", "label": job.label},
                 )
-        self._pool.submit(lambda: self._execute(job))
+        self._pool.submit(self._execute, job)
         return job
 
     def _prune_locked(self) -> None:

@@ -2,18 +2,14 @@
 
 from repro.spice.ac import AcResult, AcSolver, ac_sweep
 from repro.spice.linalg import (
-    BACKENDS,
     HAVE_SCIPY,
     AnalysisGuard,
     BatchedSolver,
     DenseSolver,
     LinearSolver,
     SparseSolver,
-    default_backend,
     guarded_solve,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.spice.macromodel import OpAmpMacro, add_limiter_stage, add_opamp
 from repro.spice.mna import (
@@ -38,7 +34,6 @@ __all__ = [
     "AcResult",
     "AcSolver",
     "AnalysisGuard",
-    "BACKENDS",
     "BatchedSolver",
     "Circuit",
     "DenseSolver",
@@ -53,17 +48,14 @@ __all__ = [
     "add_limiter_stage",
     "add_opamp",
     "dc",
-    "default_backend",
     "elaborate",
     "guarded_solve",
     "infer_control_links",
     "pulse_wave",
     "pwl_wave",
     "resolve_backend",
-    "set_default_backend",
     "simulate_transient",
     "sin_wave",
     "to_spice_deck",
-    "use_backend",
     "waveform",
 ]

@@ -86,20 +86,11 @@ class AcResult:
 class AcSolver:
     """Linearized frequency-domain solver over one :class:`Circuit`."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        ac_source: Optional[str] = None,
-        linalg: Optional[str] = None,
-    ):
+    def __init__(self, circuit: Circuit, ac_source: Optional[str] = None):
         """``ac_source`` names the voltage source carrying the 1 V AC
-        stimulus; by default the first voltage source is used.
-        ``linalg`` picks the solver backend (``auto``/``dense``/
-        ``batched``/``sparse``); ``None`` defers to the process
-        default."""
+        stimulus; by default the first voltage source is used."""
         self.circuit = circuit
-        self._linalg = linalg
-        self._mna = MnaSolver(circuit, linalg=linalg)
+        self._mna = MnaSolver(circuit)
         self._size = self._mna._size
         self._operating_point = None
         sources = self._mna.stamps.voltage_sources
@@ -178,6 +169,10 @@ class AcSolver:
         """Logarithmic frequency sweep (SPICE ``.AC DEC``)."""
         if f_start <= 0 or f_stop <= f_start:
             raise SimulationError("need 0 < f_start < f_stop")
+        if points_per_decade < 1:
+            raise SimulationError(
+                f"need points_per_decade >= 1, got {points_per_decade}"
+            )
         names = probes if probes is not None else self.circuit.node_names
         for name in names:
             if name not in self.circuit._nodes:
@@ -194,9 +189,7 @@ class AcSolver:
         C = stamps.capacitance()
         b = np.zeros(self._size, dtype=complex)
         b[self._ac_branch] += 1.0  # 1 V AC stimulus
-        backend = resolve_backend(
-            self._linalg, size=self._size, grid=n_points
-        )
+        backend = resolve_backend(size=self._size, grid=n_points)
         with trace_phase("spice.ac_sweep", points=n_points):
             registry = metrics()
             registry.inc("spice.ac.sweeps")
@@ -235,9 +228,8 @@ def ac_sweep(
     points_per_decade: int = 20,
     probes: Optional[Sequence[str]] = None,
     ac_source: Optional[str] = None,
-    linalg: Optional[str] = None,
 ) -> AcResult:
     """One-call AC analysis."""
-    return AcSolver(circuit, ac_source=ac_source, linalg=linalg).sweep(
+    return AcSolver(circuit, ac_source=ac_source).sweep(
         f_start, f_stop, points_per_decade=points_per_decade, probes=probes
     )

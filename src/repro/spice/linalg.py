@@ -19,9 +19,8 @@ implementations:
     reproduce the located error;
 ``sparse``
     ``scipy.sparse.linalg.splu``, worthwhile past a node-count
-    threshold.  scipy is an *optional* dependency: when it is missing
-    the backend resolves to ``dense`` (and a
-    ``spice.linalg.sparse_unavailable`` counter records the fallback).
+    threshold.  scipy is an *optional* dependency: without it the
+    sparse backend is never selected.
 
 The guards live at this boundary, in :class:`AnalysisGuard`, instead of
 being duplicated per call site: fault-injection row-zeroing, the
@@ -31,23 +30,18 @@ factorization counters.  ``spice.mna.factorizations`` counts successful
 factorizations only; failures land on
 ``spice.mna.factorization_failures``.
 
-Backend selection: every analysis accepts an explicit ``linalg=``
-preference; ``None`` defers to the process default (``"auto"`` unless
-:func:`set_default_backend` / :func:`use_backend` changed it — the
-override is thread-local, so concurrent serve jobs with different
-preferences do not race).  ``auto`` picks ``sparse`` past
-:data:`SPARSE_THRESHOLD` unknowns when scipy is present, ``batched``
-for grid solves, and ``dense`` otherwise.  Results are
-backend-identical (same matrices, same LAPACK family), which is why
-the knob is excluded from every content fingerprint.
+Backend selection is the code's, not the caller's: each analysis asks
+:func:`resolve_backend` with its unknown count and grid size, which
+picks ``sparse`` past :data:`SPARSE_THRESHOLD` unknowns when scipy is
+present, ``batched`` for grid solves, and ``dense`` otherwise.  There
+is no option, environment variable or parameter that overrides it.
+The engine counts each choice on ``spice.linalg.backend.<name>``.
 """
 
 from __future__ import annotations
 
-import threading
 import warnings
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,13 +56,10 @@ from repro.robust.guards import (
     zero_first_unknown,
 )
 
-#: every accepted backend preference (``auto`` resolves per analysis)
-BACKENDS = ("auto", "dense", "batched", "sparse")
-
-#: unknown count beyond which ``auto`` prefers the sparse backend
+#: unknown count from which the sparse backend is selected
 SPARSE_THRESHOLD = 64
 
-try:  # scipy is optional: the sparse backend degrades to dense without it
+try:  # scipy is optional: without it the sparse backend is never selected
     from scipy.sparse import csc_matrix as _csc_matrix
     from scipy.sparse.linalg import splu as _splu
 
@@ -156,81 +147,16 @@ class SparseSolver(LinearSolver):
 # Backend selection
 # ---------------------------------------------------------------------------
 
-_DEFAULT_LOCK = threading.Lock()
-_default_backend = "auto"
-_local = threading.local()
-
-
-def _validate(name: str) -> str:
-    if name not in BACKENDS:
-        raise ValueError(
-            f"unknown linalg backend {name!r}; choose from "
-            f"{', '.join(BACKENDS)}"
-        )
-    return name
-
-
-def default_backend() -> str:
-    """The effective backend preference of this thread."""
-    override = getattr(_local, "backend", None)
-    return override if override is not None else _default_backend
-
-
-def set_default_backend(name: str) -> str:
-    """Set the process-wide preference; returns the previous one."""
-    global _default_backend
-    _validate(name)
-    with _DEFAULT_LOCK:
-        previous = _default_backend
-        _default_backend = name
-    return previous
-
-
-@contextmanager
-def use_backend(name: Optional[str]) -> Iterator[None]:
-    """Thread-local backend preference for the duration of a run.
-
-    ``None`` (or ``"auto"`` while the default is unchanged) is a no-op;
-    nesting restores the previous override on exit.
-    """
-    if name is None:
-        yield
-        return
-    _validate(name)
-    previous = getattr(_local, "backend", None)
-    _local.backend = name
-    try:
-        yield
-    finally:
-        _local.backend = previous
-
-
-def resolve_backend(
-    preference: Optional[str] = None, size: int = 0, grid: int = 1
-) -> LinearSolver:
-    """Pick the backend instance for one analysis.
-
-    ``preference`` of ``None`` defers to :func:`default_backend`;
-    ``auto`` selects sparse past :data:`SPARSE_THRESHOLD` unknowns
-    (when scipy is importable), batched when the analysis solves a
-    grid of systems, dense otherwise.  An explicit ``sparse`` request
-    without scipy degrades gracefully to dense.
-    """
-    name = _validate(preference or default_backend())
-    if name == "auto":
-        if HAVE_SCIPY and size >= SPARSE_THRESHOLD:
-            return SparseSolver()
-        if grid > 1:
-            return BatchedSolver()
-        return DenseSolver()
-    if name == "sparse" and not HAVE_SCIPY:
-        metrics().inc("spice.linalg.sparse_unavailable")
-        return DenseSolver()
-    return {
-        "dense": DenseSolver,
-        "batched": BatchedSolver,
-        "sparse": SparseSolver,
-    }[name]()
+def resolve_backend(size: int = 0, grid: int = 1) -> LinearSolver:
+    """Pick the backend instance for one analysis of ``size`` unknowns
+    solving ``grid`` systems: sparse from :data:`SPARSE_THRESHOLD`
+    unknowns (when scipy is importable), batched for a grid of
+    systems, dense otherwise."""
+    if HAVE_SCIPY and size >= SPARSE_THRESHOLD:
+        return SparseSolver()
+    if grid > 1:
+        return BatchedSolver()
+    return DenseSolver()
 
 
 # ---------------------------------------------------------------------------

@@ -659,15 +659,9 @@ class TransientResult:
 class MnaSolver:
     """Assembles and solves the MNA system of a :class:`Circuit`."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        gmin: float = 1e-12,
-        linalg: Optional[str] = None,
-    ):
+    def __init__(self, circuit: Circuit, gmin: float = 1e-12):
         self.circuit = circuit
         self.gmin = gmin
-        self._linalg = linalg
         self._n = circuit.n_nodes()
         # Assign branch currents to every voltage-defining element.
         self._branches = 0
@@ -709,10 +703,10 @@ class MnaSolver:
         return self.circuit._nodes[node]
 
     def _solver_backend(self) -> LinearSolver:
-        """The linear-solver backend of this analysis (resolved lazily
-        so a changed process default applies to freshly built solvers)."""
+        """The linear-solver backend of this analysis (resolved, and
+        counted, on the first solve)."""
         if self._backend is None:
-            self._backend = resolve_backend(self._linalg, size=self._size)
+            self._backend = resolve_backend(size=self._size)
             metrics().inc(f"spice.linalg.backend.{self._backend.name}")
         return self._backend
 
@@ -865,9 +859,6 @@ def simulate_transient(
     t_end: float,
     dt: float,
     probes: Optional[Sequence[str]] = None,
-    linalg: Optional[str] = None,
 ) -> TransientResult:
     """One-call transient analysis."""
-    return MnaSolver(circuit, linalg=linalg).transient(
-        t_end, dt, probes=probes
-    )
+    return MnaSolver(circuit).transient(t_end, dt, probes=probes)

@@ -73,6 +73,11 @@ class TestAcBasics:
     def test_bad_sweep_range(self):
         with pytest.raises(SimulationError):
             ac_sweep(rc_lowpass(), 100.0, 10.0)
+        # A non-positive point density used to become a silent 2-point
+        # sweep with a wrong corner frequency.
+        for points in (0, -3):
+            with pytest.raises(SimulationError, match="points_per_decade"):
+                ac_sweep(rc_lowpass(), 10.0, 1e3, points_per_decade=points)
 
     def test_unknown_probe(self):
         with pytest.raises(SimulationError):

@@ -3,8 +3,8 @@
 Satellite coverage: ``vase batch --executor thread --workers 4 --json``
 must be byte-identical to the serial run (with ``--no-timing``, since
 wall-clock fields differ even between two serial runs), a shared
-on-disk cache must make the second batch run all-hits, and the
-deprecated ``jobs`` knob must keep working behind a shim that warns.
+on-disk cache must make the second batch run all-hits, and the thread
+executor must run its tasks concurrently yet return them in order.
 """
 
 import json
@@ -16,8 +16,7 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.cli import main
-from repro.flow import FlowOptions
-from repro.pipeline import ArtifactCache, ParallelOptions, run_parallel
+from repro.pipeline import ArtifactCache, ParallelOptions, Task, ThreadExecutor
 from repro.robust.batch import run_batch
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -44,7 +43,14 @@ def corpus(tmp_path):
     return root
 
 
+def run_on_threads(thunks, workers):
+    with ThreadExecutor(workers) as pool:
+        return pool.map_ordered([Task(thunk) for thunk in thunks])
+
+
 class TestRunParallel:
+    """Thunks on :meth:`ThreadExecutor.map_ordered`."""
+
     def test_results_keep_submission_order(self):
         delays = [0.05, 0.0, 0.02, 0.0]
 
@@ -54,7 +60,7 @@ class TestRunParallel:
                 return index
             return run
 
-        results = run_parallel([thunk(i) for i in range(4)], jobs=4)
+        results = run_on_threads([thunk(i) for i in range(4)], workers=4)
         assert results == [0, 1, 2, 3]
 
     def test_actually_concurrent(self):
@@ -66,11 +72,11 @@ class TestRunParallel:
 
         # Three thunks all blocked on one barrier only finish if they
         # really run at the same time.
-        assert run_parallel([wait] * 3, jobs=3) == [True, True, True]
+        assert run_on_threads([wait] * 3, workers=3) == [True, True, True]
 
     def test_rejects_nonpositive_jobs(self):
-        with pytest.raises(ValueError):
-            run_parallel([lambda: 1], jobs=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            run_on_threads([lambda: 1], workers=0)
 
 
 class TestParallelBatchDeterminism:
@@ -143,39 +149,3 @@ class TestSharedBatchCache:
         assert stats["misses"] == 0
         assert stats["hits"] > 0
 
-
-class TestDeprecatedJobsShim:
-    """The old bare ``jobs`` knob keeps working but warns, and maps
-    onto :class:`ParallelOptions` exactly as documented."""
-
-    def test_flow_options_jobs_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            options = FlowOptions(jobs=4)
-        assert options.jobs is None
-        assert options.parallel == ParallelOptions(
-            executor="thread", workers=4
-        )
-
-    def test_flow_options_jobs_one_stays_serial(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            options = FlowOptions(jobs=1)
-        assert options.parallel == ParallelOptions()
-
-    def test_run_batch_jobs_warns_and_matches_new_api(self, corpus):
-        files = sorted(corpus.iterdir())
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            legacy = run_batch(files, jobs=4)
-        modern = run_batch(
-            files, parallel=ParallelOptions(executor="thread", workers=4)
-        )
-        assert legacy.as_dict(timing=False) == modern.as_dict(timing=False)
-
-    def test_cli_jobs_flag_warns_on_stderr(self, corpus, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        main([
-            "batch", str(corpus), "--jobs", "2", "--json", str(out),
-            "--no-timing",
-        ])
-        captured = capsys.readouterr()
-        assert "--jobs is deprecated" in captured.err
-        assert out.exists()

@@ -15,8 +15,7 @@ Tentpole coverage of the executor redesign:
 * telemetry published inside a worker process is forwarded over the
   result channel and re-published on the submitting run's bus with
   dense per-run sequence numbers;
-* :class:`ParallelOptions` validates its knobs and the ``jobs`` shims
-  (``FlowOptions.jobs``, ``run_batch(jobs=...)``) map onto it.
+* :class:`ParallelOptions` validates its knobs.
 
 Process-backend task functions live at module level: the ``spawn``
 start method pickles tasks by reference, so a worker re-imports this
@@ -123,14 +122,6 @@ class TestParallelOptions:
     def test_rejects_nonpositive_timeout(self):
         with pytest.raises(ValueError, match="task_timeout_s"):
             ParallelOptions(task_timeout_s=0.0)
-
-    def test_from_jobs_maps_like_the_old_knob(self):
-        assert ParallelOptions.from_jobs(1) == ParallelOptions()
-        assert ParallelOptions.from_jobs(4) == ParallelOptions(
-            executor="thread", workers=4
-        )
-        with pytest.raises(ValueError):
-            ParallelOptions.from_jobs(0)
 
     def test_bounded_clamps_width_to_task_count(self):
         wide = ParallelOptions(executor="process", workers=8)

@@ -115,6 +115,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "-3 dB corner" in out
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_ac_command_rejects_nonpositive_points(self, points, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["ac", "biquad_filter", "--points", points])
+        assert err.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_ac_command_needs_ports(self, tmp_path, capsys):
         path = tmp_path / "noin.vams"
         path.write_text(

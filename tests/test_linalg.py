@@ -1,9 +1,10 @@
-"""Tests for the pluggable linear-solver backends (repro.spice.linalg).
+"""Tests for the linear-solver backends (repro.spice.linalg).
 
-The refactor's correctness bar: every backend produces *identical*
-results — same netlists, same AC responses, same error messages on
-singular systems — so the backend knob can stay excluded from every
-content fingerprint.
+The correctness bar: every backend produces *identical* results — same
+AC responses, same error messages on singular systems — so the choice
+``resolve_backend`` makes never changes what an analysis reports.
+Backends are compared by pinning both engines to one of them with the
+``force_backend`` fixture.
 """
 
 import numpy as np
@@ -11,22 +12,18 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.diagnostics import SimulationError
-from repro.flow import FlowOptions, synthesize
+from repro.flow import synthesize
 from repro.instrument import metrics
 from repro.robust.faultinject import inject_faults
-from repro.spice import dc, elaborate, to_spice_deck
+from repro.spice import dc, elaborate
 from repro.spice import linalg as linalg_module
 from repro.spice.ac import ac_sweep
 from repro.spice.linalg import (
-    BACKENDS,
     HAVE_SCIPY,
     BatchedSolver,
     DenseSolver,
     SparseSolver,
-    default_backend,
     resolve_backend,
-    set_default_backend,
-    use_backend,
 )
 from repro.spice.mna import Circuit, simulate_transient
 
@@ -51,71 +48,24 @@ def random_systems(m=7, n=6, seed=11):
 
 
 class TestBackendSelection:
-    def test_backends_tuple(self):
-        assert BACKENDS == ("auto", "dense", "batched", "sparse")
-
-    def test_explicit_names(self):
-        assert isinstance(resolve_backend("dense"), DenseSolver)
-        assert isinstance(resolve_backend("batched"), BatchedSolver)
-        if HAVE_SCIPY:
-            assert isinstance(resolve_backend("sparse"), SparseSolver)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown linalg backend"):
-            resolve_backend("cholesky")
-
     def test_auto_picks_dense_for_small_single_solves(self):
-        assert isinstance(resolve_backend("auto", size=8), DenseSolver)
+        assert isinstance(resolve_backend(size=8), DenseSolver)
 
     def test_auto_picks_batched_for_grids(self):
-        assert isinstance(
-            resolve_backend("auto", size=8, grid=100), BatchedSolver
-        )
+        assert isinstance(resolve_backend(size=8, grid=100), BatchedSolver)
 
     @pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
     def test_auto_picks_sparse_past_threshold(self):
-        backend = resolve_backend(
-            "auto", size=linalg_module.SPARSE_THRESHOLD
-        )
-        assert isinstance(backend, SparseSolver)
+        size = linalg_module.SPARSE_THRESHOLD
+        assert isinstance(resolve_backend(size=size), SparseSolver)
+        assert isinstance(resolve_backend(size=size, grid=100), SparseSolver)
+        assert isinstance(resolve_backend(size=size - 1), DenseSolver)
 
-    def test_sparse_without_scipy_degrades_to_dense(self, monkeypatch):
+    def test_auto_never_picks_sparse_without_scipy(self, monkeypatch):
         monkeypatch.setattr(linalg_module, "HAVE_SCIPY", False)
-        registry = metrics()
-        before = registry.counter("spice.linalg.sparse_unavailable")
-        backend = resolve_backend("sparse")
-        assert isinstance(backend, DenseSolver)
-        assert (
-            registry.counter("spice.linalg.sparse_unavailable")
-            == before + 1
-        )
-
-    def test_use_backend_is_scoped(self):
-        assert default_backend() == "auto"
-        with use_backend("dense"):
-            assert default_backend() == "dense"
-            with use_backend("batched"):
-                assert default_backend() == "batched"
-            assert default_backend() == "dense"
-        assert default_backend() == "auto"
-
-    def test_use_backend_none_is_noop(self):
-        with use_backend(None):
-            assert default_backend() == "auto"
-
-    def test_use_backend_validates(self):
-        with pytest.raises(ValueError, match="unknown linalg backend"):
-            with use_backend("qr"):
-                pass  # pragma: no cover
-
-    def test_set_default_backend_returns_previous(self):
-        previous = set_default_backend("dense")
-        try:
-            assert previous == "auto"
-            assert default_backend() == "dense"
-        finally:
-            set_default_backend(previous)
-        assert default_backend() == "auto"
+        size = linalg_module.SPARSE_THRESHOLD
+        assert isinstance(resolve_backend(size=size), DenseSolver)
+        assert isinstance(resolve_backend(size=size, grid=100), BatchedSolver)
 
 
 class TestSolverEquivalence:
@@ -145,19 +95,20 @@ class TestSolverEquivalence:
             SparseSolver().solve(singular, np.ones(3, dtype=complex))
 
 
+#: the backends a parity test can pin (sparse needs scipy)
+BACKEND_NAMES = ("dense", "batched") + (("sparse",) if HAVE_SCIPY else ())
+
+
 class TestAcBackendParity:
-    @pytest.mark.parametrize(
-        "backend",
-        ["batched"] + (["sparse"] if HAVE_SCIPY else []),
-    )
-    def test_ladder_response_matches_dense(self, backend):
+    @pytest.mark.parametrize("backend", BACKEND_NAMES[1:])
+    def test_ladder_response_matches_dense(self, backend, force_backend):
+        force_backend("dense")
         reference = ac_sweep(
-            rc_ladder(), 10.0, 1e6, points_per_decade=20,
-            probes=["n5"], linalg="dense",
+            rc_ladder(), 10.0, 1e6, points_per_decade=20, probes=["n5"],
         )
+        force_backend(backend)
         other = ac_sweep(
-            rc_ladder(), 10.0, 1e6, points_per_decade=20,
-            probes=["n5"], linalg=backend,
+            rc_ladder(), 10.0, 1e6, points_per_decade=20, probes=["n5"],
         )
         assert np.array_equal(reference.frequencies, other.frequencies)
         assert np.allclose(
@@ -166,29 +117,32 @@ class TestAcBackendParity:
         )
 
     def test_backend_metric_published(self):
+        # A small grid selects batched for the sweep and dense for the
+        # bias point; both choices land on their counters.
         registry = metrics()
-        before = registry.counter("spice.linalg.backend.batched")
-        ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"], linalg="batched")
-        assert registry.counter("spice.linalg.backend.batched") > before
+        batched = registry.counter("spice.linalg.backend.batched")
+        dense = registry.counter("spice.linalg.backend.dense")
+        ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
+        assert registry.counter("spice.linalg.backend.batched") == batched + 1
+        assert registry.counter("spice.linalg.backend.dense") == dense + 1
 
 
 class TestGuardParity:
     """Errors and fault injection behave identically per backend."""
 
-    def _singular_message(self, backend):
+    def _singular_message(self):
         with inject_faults("spice.ac.singular"):
             with pytest.raises(SimulationError) as err:
-                ac_sweep(
-                    rc_ladder(), 10.0, 1e4, probes=["n5"],
-                    linalg=backend,
-                )
+                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
         return str(err.value)
 
-    def test_batched_fallback_reproduces_dense_error(self):
+    def test_batched_fallback_reproduces_dense_error(self, force_backend):
         registry = metrics()
         before = registry.counter("spice.linalg.batched_fallbacks")
-        dense_message = self._singular_message("dense")
-        batched_message = self._singular_message("batched")
+        force_backend("dense")
+        dense_message = self._singular_message()
+        force_backend("batched")
+        batched_message = self._singular_message()
         assert batched_message == dense_message
         assert "singular AC matrix at" in batched_message
         assert (
@@ -216,16 +170,14 @@ class TestFactorizationCounters:
             == bad_before
         )
 
-    def test_failed_factorization_counts_failure_only(self):
+    def test_failed_factorization_counts_failure_only(self, force_backend):
+        force_backend("dense")
         registry = metrics()
         bad_before = registry.counter("spice.mna.factorization_failures")
         with inject_faults("spice.ac.singular"):
             ok_before = registry.counter("spice.mna.factorizations")
             with pytest.raises(SimulationError):
-                ac_sweep(
-                    rc_ladder(), 10.0, 1e4, probes=["n5"],
-                    linalg="dense",
-                )
+                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
             # The DC bias point solves fine; the first AC point fails
             # and must not land on the success counter.
             ok_after = registry.counter("spice.mna.factorizations")
@@ -236,10 +188,7 @@ class TestFactorizationCounters:
         assert ok_after >= ok_before  # successes never decremented
         with inject_faults("spice.ac.singular"):
             with pytest.raises(SimulationError):
-                ac_sweep(
-                    rc_ladder(), 10.0, 1e4, probes=["n5"],
-                    linalg="dense",
-                )
+                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
             # Identical failing sweep: the success counter gained only
             # the bias-point factorizations, no AC-point successes.
             gained = (
@@ -256,19 +205,11 @@ def _app_sources():
     "name,app", _app_sources(), ids=[n for n, _ in _app_sources()]
 )
 class TestTable1Differential:
-    """Every Table-1 app: bit-identical netlists, matching AC sweeps."""
+    """Every Table-1 app: matching AC sweeps on every backend."""
 
-    def test_netlists_bit_identical_across_backends(self, name, app):
-        decks = {}
-        for backend in ("dense", "batched", "sparse"):
-            result = synthesize(
-                app.VASS_SOURCE, options=FlowOptions(linalg=backend)
-            )
-            decks[backend] = to_spice_deck(result.netlist)
-        assert decks["dense"] == decks["batched"]
-        assert decks["dense"] == decks["sparse"]
-
-    def test_ac_responses_allclose_across_backends(self, name, app):
+    def test_ac_responses_allclose_across_backends(
+        self, name, app, force_backend
+    ):
         result = synthesize(app.VASS_SOURCE)
         in_ports = [
             p for p, info in result.design.ports.items()
@@ -285,20 +226,20 @@ class TestTable1Differential:
             input_waves={p: dc(0.0) for p in in_ports},
         )
         probe = circuit.output_nodes[out_ports[0]]
-        responses = {
-            backend: ac_sweep(
+        responses = {}
+        for backend in BACKEND_NAMES:
+            force_backend(backend)
+            responses[backend] = ac_sweep(
                 circuit.circuit, 10.0, 1e5, points_per_decade=10,
                 probes=[probe], ac_source=f"VIN_{in_ports[0]}",
-                linalg=backend,
             )
-            for backend in ("dense", "batched", "sparse")
-        }
         reference = responses["dense"].voltages[probe]
         # batched runs the same LAPACK path and matches exactly;
         # sparse (SuperLU) may differ by a few ulps of rounding.
         assert np.array_equal(
             reference, responses["batched"].voltages[probe]
         ), f"{name}: batched diverged from dense"
-        assert np.allclose(
-            reference, responses["sparse"].voltages[probe], rtol=1e-12
-        ), f"{name}: sparse diverged from dense"
+        if HAVE_SCIPY:
+            assert np.allclose(
+                reference, responses["sparse"].voltages[probe], rtol=1e-12
+            ), f"{name}: sparse diverged from dense"

@@ -431,8 +431,7 @@ class TestAcParity:
         solver = AcSolver(circuit.circuit, ac_source="VIN_vin")
         G, C, b = ladder_ac_parts(solver, solver._bias())
         frequencies = response.frequencies
-        backend = resolve_backend(None, size=solver._size,
-                                  grid=len(frequencies))
+        backend = resolve_backend(size=solver._size, grid=len(frequencies))
         guard = AnalysisGuard("AC", "oracle", solver._mna.unknown_labels,
                               "spice.ac.singular", "")
         expected = solver._solve_grid(backend, guard, frequencies, G, C, b)

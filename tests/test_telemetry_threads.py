@@ -24,7 +24,7 @@ from repro.instrument import (
     telemetry,
 )
 from repro.instrument.metrics import MetricsRegistry
-from repro.pipeline import ParallelOptions, run_parallel
+from repro.pipeline import ParallelOptions, Task, ThreadExecutor
 from repro.robust.batch import find_sources, run_batch
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -83,9 +83,8 @@ class TestBusUnderThreads:
                 return wid
             return run
 
-        run_parallel(
-            [worker(w) for w in range(self.WORKERS)], jobs=self.WORKERS
-        )
+        with ThreadExecutor(self.WORKERS) as pool:
+            pool.map_ordered([Task(worker(w)) for w in range(self.WORKERS)])
         events = ring.events()
         total = self.WORKERS * self.PER_WORKER
         assert len(events) == total
@@ -114,9 +113,8 @@ class TestBusUnderThreads:
                 return wid
             return run
 
-        run_parallel(
-            [worker(w) for w in range(self.WORKERS)], jobs=self.WORKERS
-        )
+        with ThreadExecutor(self.WORKERS) as pool:
+            pool.map_ordered([Task(worker(w)) for w in range(self.WORKERS)])
         by_run = {}
         for event in ring.events():
             by_run.setdefault(event.run_id, []).append(event.seq)
@@ -144,10 +142,10 @@ class TestBusUnderThreads:
                     return wid
                 return run
 
-            run_parallel(
-                [worker(w) for w in range(self.WORKERS)],
-                jobs=self.WORKERS,
-            )
+            with ThreadExecutor(self.WORKERS) as pool:
+                pool.map_ordered(
+                    [Task(worker(w)) for w in range(self.WORKERS)]
+                )
         total = self.WORKERS * self.PER_WORKER
         snapshot = registry.snapshot()
         assert snapshot["counters"]["hammer.count"] == total
