@@ -19,6 +19,7 @@ prunes part of the tree while preserving the optimum.
 
 import pytest
 
+from repro.instrument import decision_tree, explogging
 from repro.library import ComponentLibrary, ComponentSpec, PatternMatcher
 from repro.synth import MapperOptions, map_sfg
 from repro.vhif.sfg import BlockKind, SignalFlowGraph
@@ -81,23 +82,38 @@ def figure6_matcher():
     )
 
 
-def test_figure6_decision_tree(benchmark):
-    result = benchmark(
-        lambda: map_sfg(
+def map_with_tree():
+    """Map the Figure-6 graph unbounded; return the result and its tree."""
+    with explogging() as log:
+        result = map_sfg(
             figure6_sfg(),
             library=figure6_library(),
             matcher=figure6_matcher(),
-            options=MapperOptions(collect_tree=True, enable_bounding=False),
+            options=MapperOptions(enable_bounding=False),
         )
+    return result, decision_tree(log)
+
+
+def describe_node(node) -> str:
+    text = (
+        f"[{node['node']}] {node['decision']} "
+        f"({node['opamps']} op amps, {node['status']})"
     )
+    if node["detail"]:
+        text += f" — {node['detail']}"
+    return text
+
+
+def test_figure6_decision_tree(benchmark):
+    result, tree = benchmark(map_with_tree)
     banner("Figure 6: decision tree fragment")
-    for node in result.tree:
+    for node in tree:
         indent = 0
-        parent = node.parent
+        parent = node["parent"]
         while parent is not None:
             indent += 1
-            parent = result.tree[parent].parent
-        print("  " * indent + str(node))
+            parent = tree[parent]["parent"]
+        print("  " * indent + describe_node(node))
     print(f"\ncomplete mappings found (op amps): {result.solution_opamps}")
     print(f"best: {result.netlist.total_opamps()} op amps — "
           f"{result.netlist.summary()}")
@@ -148,17 +164,10 @@ def test_figure6_bounding_effect(benchmark):
 
 def test_figure6_sharing_solution(benchmark):
     """The 3-op-amp mapping shares one comp2 between block1 and block2."""
-    result = benchmark(
-        lambda: map_sfg(
-            figure6_sfg(),
-            library=figure6_library(),
-            matcher=figure6_matcher(),
-            options=MapperOptions(collect_tree=True, enable_bounding=False),
-        )
-    )
+    result, tree = benchmark(map_with_tree)
     banner("Figure 6: hardware-sharing branch")
-    shares = [n for n in result.tree if n.decision.startswith("share")]
+    shares = [n for n in tree if n["decision"].startswith("share")]
     for node in shares:
-        print(f"  {node}")
+        print(f"  {describe_node(node)}")
     assert result.statistics.shared_branches > 0
     assert 3 in set(result.solution_opamps)

@@ -69,12 +69,11 @@ def test_figure7_two_amplifiers(benchmark):
 
 def test_figure7_search_statistics(benchmark):
     from repro.flow import FlowOptions
-    from repro.synth import MapperOptions
+    from repro.instrument import decision_tree
 
     result = benchmark(
         lambda: synthesize(
-            receiver.VASS_SOURCE,
-            options=FlowOptions(mapper=MapperOptions(collect_tree=True)),
+            receiver.VASS_SOURCE, options=FlowOptions(explog=True)
         )
     )
     banner("Figure 7: mapping search effort")
@@ -84,6 +83,10 @@ def test_figure7_search_statistics(benchmark):
         f"{stats.nodes_pruned}, complete mappings: "
         f"{stats.complete_mappings}, runtime: {stats.runtime_s*1e3:.2f} ms"
     )
+    tree = decision_tree(result.explog)
+    print(f"decision tree (Figure 6 style): {len(tree)} nodes")
     print("(the paper notes the mapping was 'quite straightforward')")
     assert stats.complete_mappings >= 1
     assert stats.runtime_s < 1.0
+    # Every visited decision node is one tree node under the root.
+    assert len(tree) == stats.nodes_visited + 1

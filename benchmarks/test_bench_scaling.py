@@ -18,8 +18,8 @@ hot kernels, on synthetic workloads 10–100× the Table-1 size:
 * AC sweeps over RC ladders, timing the dense per-point loop against
   the batched (stacked-LU) and sparse backends;
 * branch-and-bound over large ladder SFGs, timing the incremental
-  ``CandidateIndex`` against the re-enumerating legacy path at an
-  identical node budget.
+  ``CandidateIndex`` against the re-enumerating reference mapper (the
+  ``naive_mapper`` fixture) at an identical node budget.
 
 Wall-clock ratios are machine-dependent, so they live inside the
 ``rows`` payload (bench-check does not gate list entries); the
@@ -38,7 +38,12 @@ from repro.spice import dc
 from repro.spice.ac import ac_sweep
 from repro.spice.linalg import HAVE_SCIPY
 from repro.spice.mna import Circuit
-from repro.synth import MapperOptions, map_sfg, map_sfg_greedy
+from repro.synth import (
+    ArchitectureMapper,
+    MapperOptions,
+    map_sfg,
+    map_sfg_greedy,
+)
 from repro.vhif.sfg import BlockKind, SignalFlowGraph
 
 from conftest import banner
@@ -249,15 +254,14 @@ INDEX_MAX_NODES = 4000
 INDEX_REPEATS = 3
 
 
-def _time_mapping(g: SignalFlowGraph, use_index: bool):
+def _time_mapping(g: SignalFlowGraph, mapper_cls):
     options = MapperOptions(
         enable_transforms=False,
-        candidate_index=use_index,
         max_nodes=INDEX_MAX_NODES,
     )
     best = None
     for _ in range(INDEX_REPEATS):
-        result = map_sfg(g, options=options)
+        result = mapper_cls(g, options=options).run()
         if best is None or (
             result.statistics.runtime_s < best.statistics.runtime_s
         ):
@@ -265,21 +269,21 @@ def _time_mapping(g: SignalFlowGraph, use_index: bool):
     return best
 
 
-def run_mapper_index_series():
+def run_mapper_index_series(reference_mapper):
     rows = []
     registry = metrics()
     for stages in INDEX_SIZES:
         g = ladder_sfg(stages)
         hits_before = registry.counter("mapper.index.hits")
         misses_before = registry.counter("mapper.index.misses")
-        indexed = _time_mapping(g, use_index=True)
+        indexed = _time_mapping(g, ArchitectureMapper)
         hits = registry.counter("mapper.index.hits") - hits_before
         misses = registry.counter("mapper.index.misses") - misses_before
-        legacy = _time_mapping(g, use_index=False)
-        assert indexed.estimate.area == legacy.estimate.area
+        reference = _time_mapping(g, reference_mapper)
+        assert indexed.estimate.area == reference.estimate.area
         assert (
             indexed.statistics.nodes_visited
-            == legacy.statistics.nodes_visited
+            == reference.statistics.nodes_visited
         )
         rows.append(
             {
@@ -287,9 +291,9 @@ def run_mapper_index_series():
                 "blocks": len(g.processing_blocks()),
                 "nodes_visited": indexed.statistics.nodes_visited,
                 "mapper_indexed_s": indexed.statistics.runtime_s,
-                "mapper_legacy_s": legacy.statistics.runtime_s,
+                "mapper_legacy_s": reference.statistics.runtime_s,
                 "index_speedup_x": (
-                    legacy.statistics.runtime_s
+                    reference.statistics.runtime_s
                     / indexed.statistics.runtime_s
                 ),
                 "index_hits": hits,
@@ -302,9 +306,10 @@ def run_mapper_index_series():
     return rows
 
 
-def test_mapper_index_scaling(benchmark, bench_metrics):
+def test_mapper_index_scaling(benchmark, bench_metrics, naive_mapper):
     rows = benchmark.pedantic(
-        run_mapper_index_series, rounds=1, iterations=1
+        run_mapper_index_series, args=(naive_mapper,), rounds=1,
+        iterations=1,
     )
     bench_metrics["rows"] = rows
     banner(

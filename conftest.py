@@ -65,6 +65,39 @@ def force_backend(monkeypatch):
     return force
 
 
+@pytest.fixture
+def naive_mapper():
+    """The reference mapper the candidate-index parity tests compare to.
+
+    An :class:`~repro.synth.mapper.ArchitectureMapper` that re-runs the
+    pattern matcher at every decision node, then filters out cones
+    overlapping the covered set and sorts by the sequencing rule — the
+    enumeration the incremental ``CandidateIndex`` replaces.  Its
+    matches are rebuilt per node and die young, so the area lookup
+    skips the identity memo (a dead match's ``id`` can be reused).
+    """
+    from repro.synth import mapper
+
+    class NaiveMapper(mapper.ArchitectureMapper):
+        def _ordered_candidates(self, root):
+            candidates = self.matcher.candidates(
+                self.sfg, root, max_size=self.options.max_cone_size
+            )
+            if not self.options.enable_transforms:
+                candidates = [c for c in candidates if c.transform is None]
+            candidates = [
+                c for c in candidates if not (c.cone & self._covered)
+            ]
+            sort_key = mapper._SEQUENCING_KEYS.get(self.options.sequencing)
+            if sort_key is not None:
+                candidates.sort(key=sort_key)
+            return candidates
+
+        _instance_area = mapper.ArchitectureMapper._keyed_area
+
+    return NaiveMapper
+
+
 class _BoundedLog:
     """Session-wide recorder that trims its in-memory buffer.
 

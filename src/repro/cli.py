@@ -243,15 +243,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.flow import FlowOptions
     from repro.instrument.explain import narrate, render_exploration_html
-    from repro.synth import MapperOptions
     from repro.vhif.dot import decision_tree_to_dot
 
     source = _load_source(args.file)
-    options = FlowOptions(
-        explog=True,
-        trace=True,
-        mapper=MapperOptions(collect_tree=True),
-    )
+    options = FlowOptions(explog=True, trace=True)
     result = synthesize(
         source,
         entity_name=args.entity,
@@ -266,7 +261,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(f"\nexploration JSONL written to {jsonl_path}", file=sys.stderr)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(decision_tree_to_dot(result.mapping.tree))
+            handle.write(decision_tree_to_dot(result.explog))
         print(f"decision-tree DOT written to {args.dot}", file=sys.stderr)
     if args.html:
         with open(args.html, "w", encoding="utf-8") as handle:

@@ -98,6 +98,7 @@ from repro.instrument.promexport import (
 from repro.instrument.explog import (
     ExplorationLog,
     active_explog,
+    decision_tree,
     disable_explog,
     enable_explog,
     explogging,
@@ -168,6 +169,7 @@ __all__ = [
     "render_exploration_html",
     "ExplorationLog",
     "active_explog",
+    "decision_tree",
     "disable_explog",
     "enable_explog",
     "explogging",

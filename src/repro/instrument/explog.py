@@ -54,9 +54,12 @@ Event vocabulary (the ``event`` field):
 Every event also carries ``seq`` (a per-recorder monotonically
 increasing sequence number), ``ts`` (the wall-clock epoch time of the
 decision, so exploration JSONL correlates with trace spans and
-telemetry events) and, when the mapper collects the
-Figure-6 tree, the decision-tree ``node``/``parent`` ids, so the JSONL
-replays into the same structure ``vase explain --dot`` renders.
+telemetry events).  Every decision event of a mapper run also carries
+integer decision-tree ids: ``node`` (the root is node 0, each
+``alloc``/``share``/``prune`` branch takes the next id) and, on
+branches, ``parent``.  :func:`decision_tree` replays them into the
+Figure-6 tree ``vase explain --dot`` renders, from a live log or from
+JSONL read back from disk.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, IO, Iterator, List, Optional
+from typing import Dict, IO, Iterable, Iterator, List, Optional
 
 from repro.instrument.events import CATEGORY_EXPLOG, active_bus
 
@@ -157,6 +160,58 @@ class ExplorationLog:
                     log.events.append(json.loads(line))
         log._seq = len(log.events)
         return log
+
+
+def decision_tree(
+    events: Iterable[Dict[str, object]],
+) -> List[Dict[str, object]]:
+    """The Figure-6 decision tree of the last mapper search in ``events``.
+
+    One dict per node, in id order: ``node``, ``parent``, ``decision``
+    (``root`` / ``alloc <component> for <cone>`` / ``share <instance>
+    for <cone>``), ``opamps``, ``status`` (``open`` / ``pruned`` /
+    ``complete`` / ``infeasible`` / ``dead-end``) and ``detail`` — the
+    estimated area of a complete node, the violated constraints of an
+    infeasible one, the losing bound of a pruned one.
+    """
+    nodes: List[Dict[str, object]] = []
+
+    def branch(event, decision, status="open", detail=""):
+        nodes.append({
+            "node": event["node"], "parent": event["parent"],
+            "decision": decision, "opamps": event["opamps"],
+            "status": status, "detail": detail,
+        })
+
+    for event in events:
+        kind = event["event"]
+        if kind == "search_start":
+            nodes = [{
+                "node": 0, "parent": None, "decision": "root",
+                "opamps": 0, "status": "open", "detail": "",
+            }]
+        elif kind == "alloc":
+            branch(event, f"alloc {event['component']} for {event['cone']}")
+        elif kind == "share":
+            branch(event, f"share {event['instance']} for {event['cone']}")
+        elif kind == "prune":
+            branch(
+                event, f"alloc {event['component']} for {event['cone']}",
+                "pruned",
+                f"bound {event['lower_bound'] * 1e12:,.0f} >= "
+                f"incumbent {event['incumbent_area'] * 1e12:,.0f} um^2",
+            )
+        elif kind == "complete":
+            node = nodes[event["node"]]
+            if event["feasible"]:
+                node["status"] = "complete"
+                node["detail"] = f"area {event['area'] * 1e12:,.0f} um^2"
+            else:
+                node["status"] = "infeasible"
+                node["detail"] = ", ".join(event["violations"])
+        elif kind == "dead_end":
+            nodes[event["node"]]["status"] = "dead-end"
+    return nodes
 
 
 # -- the active recorder (per thread) --------------------------------------

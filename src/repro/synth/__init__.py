@@ -3,7 +3,6 @@
 from repro.synth.greedy import map_sfg_greedy
 from repro.synth.mapper import (
     ArchitectureMapper,
-    DecisionNode,
     MapperOptions,
     MappingResult,
     MappingStatistics,
@@ -16,7 +15,6 @@ from repro.synth.transforms import InterfacingOptions, apply_interfacing
 __all__ = [
     "ArchitectureMapper",
     "ComponentInstance",
-    "DecisionNode",
     "InterfacingOptions",
     "MapperOptions",
     "MappingResult",

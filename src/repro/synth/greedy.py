@@ -70,7 +70,6 @@ def map_sfg_greedy(
         # The greedy path may die on constraints; fall back to accepting
         # the first complete mapping regardless of feasibility so the
         # benchmark can still report its area.
-        options.first_solution_only = True
         relaxed = ArchitectureMapper(
             sfg,
             library=library,

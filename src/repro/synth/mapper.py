@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.diagnostics import Diagnostic, Severity, SynthesisError
 from repro.estimation.constraints import (
@@ -49,7 +49,15 @@ from repro.vhif.sfg import Block, BlockKind, CONTROL_PORT, SignalFlowGraph
 
 @dataclass
 class MapperOptions:
-    """Search-strategy knobs (ablation points of DESIGN.md §5)."""
+    """Search-strategy knobs (ablation points of DESIGN.md §5).
+
+    All fields feed the MAP stage cache key and the ledger options
+    digest.  The search always enumerates candidates through an
+    incremental :class:`~repro.library.patterns.CandidateIndex`, and
+    the Figure-6 decision tree is rebuilt from the exploration log
+    (:func:`repro.instrument.explog.decision_tree`), so neither has a
+    knob here.
+    """
 
     enable_bounding: bool = True
     #: which lower bound prunes partial mappings (the paper's Section 7
@@ -65,42 +73,14 @@ class MapperOptions:
     #: try the sharing branch before allocating new hardware
     share_first: bool = True
     max_cone_size: int = 4
-    #: enumerate candidates once per root through an incremental
-    #: :class:`~repro.library.patterns.CandidateIndex` instead of
-    #: re-running the pattern matcher at every decision node; the
-    #: decision sequence is identical either way (the legacy path is
-    #: kept for the differential test and as an escape hatch)
-    candidate_index: bool = True
     #: safety cap on visited decision nodes
     max_nodes: int = 500_000
     #: wall-clock deadline for the search, seconds (None = unbounded);
     #: checked alongside ``max_nodes`` — on expiry the best incumbent
     #: is returned with ``truncated_reason == "deadline"``
     deadline_s: Optional[float] = None
-    #: record the decision tree (Figure 6) — costs memory
-    collect_tree: bool = False
     #: stop at the first feasible complete mapping (greedy-ish mode)
     first_solution_only: bool = False
-
-
-@dataclass
-class DecisionNode:
-    """One node of the Figure-6 decision tree."""
-
-    node_id: int
-    parent: Optional[int]
-    decision: str
-    opamps: int
-    status: str = "open"  # open / pruned / complete / infeasible / dead-end
-    #: outcome facts: estimated area for complete nodes, violated
-    #: constraint names for infeasible ones, bounds for pruned ones
-    detail: str = ""
-
-    def __str__(self) -> str:
-        text = f"[{self.node_id}] {self.decision} ({self.opamps} op amps, {self.status})"
-        if self.detail:
-            text += f" — {self.detail}"
-        return text
 
 
 @dataclass
@@ -157,7 +137,6 @@ class MappingResult:
     netlist: Netlist
     estimate: PerformanceEstimate
     statistics: MappingStatistics
-    tree: List[DecisionNode] = field(default_factory=list)
     #: op-amp counts of every complete mapping, in discovery order
     solution_opamps: List[int] = field(default_factory=list)
     #: non-fatal problems of the search (e.g. node-budget truncation)
@@ -228,20 +207,18 @@ class ArchitectureMapper:
         # sound): index entries are long-lived, so per-match areas can
         # be memoized by object identity, and per-root minimum areas
         # feed the tightened lower bound.
-        self._index: Optional[CandidateIndex] = None
-        self._area_by_match: Optional[Dict[int, float]] = None
+        self._index = CandidateIndex(
+            self.matcher,
+            self.sfg,
+            max_cone_size=self.options.max_cone_size,
+            include_transforms=self.options.enable_transforms,
+            sort_key=_SEQUENCING_KEYS.get(self.options.sequencing),
+        )
+        self._area_by_match: Dict[int, float] = {}
         self._min_area_memo: Dict[int, Optional[float]] = {}
-        if self.options.candidate_index:
-            sort_key = _SEQUENCING_KEYS.get(self.options.sequencing)
-            self._index = CandidateIndex(
-                self.matcher,
-                self.sfg,
-                max_cone_size=self.options.max_cone_size,
-                include_transforms=self.options.enable_transforms,
-                sort_key=sort_key,
-            )
-            self._area_by_match = {}
-        self._tree: List[DecisionNode] = []
+        #: decision-tree node ids (Figure 6): the root is node 0, every
+        #: alloc/share/prune branch takes the next one
+        self._nodes = 0
         self._solutions: List[int] = []
         self._abort = False
         #: absolute perf_counter() time after which the search stops
@@ -320,51 +297,37 @@ class ArchitectureMapper:
     # -- candidate ordering -------------------------------------------------------------
 
     def _ordered_candidates(self, root: Block) -> List[PatternMatch]:
-        if self._index is not None:
-            return self._index.candidates(root)
-        # Legacy path: full re-enumeration at every decision node.
-        candidates = self.matcher.candidates(
-            self.sfg, root, max_size=self.options.max_cone_size
-        )
-        if not self.options.enable_transforms:
-            candidates = [c for c in candidates if c.transform is None]
-        # Cones may not include already-covered blocks.
-        candidates = [
-            c for c in candidates if not (c.cone & self._covered)
-        ]
-        sort_key = _SEQUENCING_KEYS.get(self.options.sequencing)
-        if sort_key is not None:
-            candidates.sort(key=sort_key)
-        # "arbitrary": keep the matcher's order.
-        return candidates
+        """The viable candidates of ``root``, in sequencing order."""
+        return self._index.candidates(root)
 
     # -- covered-set bookkeeping (kept in sync with the index) ------------------
 
     def _cover(self, cone: FrozenSet[int]) -> None:
         self._covered |= cone
-        if self._index is not None:
-            self._index.cover(cone)
+        self._index.cover(cone)
 
     def _uncover(self, cone: FrozenSet[int]) -> None:
         self._covered -= cone
-        if self._index is not None:
-            self._index.uncover(cone)
+        self._index.uncover(cone)
 
-    # -- tree bookkeeping ------------------------------------------------------------------
+    # -- bound and node-id bookkeeping ------------------------------------------------
 
     def _instance_area(self, match: PatternMatch) -> float:
-        """Estimated area of one candidate instance (cached by key).
+        """Estimated area of one candidate instance.
 
-        With the candidate index active, matches are long-lived objects
-        enumerated once per root, so the area is additionally memoized
-        by object identity — skipping even the params-repr key build on
-        the hot bound-computation path.
+        Index entries are long-lived objects enumerated once per root,
+        so the area is memoized by object identity — skipping even the
+        params-repr key build of :meth:`_keyed_area` on the hot
+        bound-computation path.
         """
-        memo = self._area_by_match
-        if memo is not None:
-            by_id = memo.get(id(match))
-            if by_id is not None:
-                return by_id
+        area = self._area_by_match.get(id(match))
+        if area is None:
+            area = self._keyed_area(match)
+            self._area_by_match[id(match)] = area
+        return area
+
+    def _keyed_area(self, match: PatternMatch) -> float:
+        """Estimated area of one candidate instance (cached by key)."""
         key = (match.component, repr(sorted(match.params.items())))
         cached = self._area_cache.get(key)
         if cached is None:
@@ -375,8 +338,6 @@ class ArchitectureMapper:
             )
             cached = self.estimator.estimate_instance(dummy).area
             self._area_cache[key] = cached
-        if memo is not None:
-            memo[id(match)] = cached
         return cached
 
     def _min_alloc_area(self, root: Block) -> Optional[float]:
@@ -397,25 +358,10 @@ class ArchitectureMapper:
             )
         return memo[root_id]
 
-    def _trace(
-        self, parent: Optional[int], decision: str, opamps: int
-    ) -> Optional[int]:
-        if not self.options.collect_tree:
-            return None
-        node = DecisionNode(
-            node_id=len(self._tree), parent=parent, decision=decision,
-            opamps=opamps,
-        )
-        self._tree.append(node)
-        return node.node_id
-
-    def _set_status(
-        self, node_id: Optional[int], status: str, detail: str = ""
-    ) -> None:
-        if node_id is not None:
-            self._tree[node_id].status = status
-            if detail:
-                self._tree[node_id].detail = detail
+    def _new_node(self) -> int:
+        node = self._nodes
+        self._nodes += 1
+        return node
 
     # -- completion ----------------------------------------------------------------------------
 
@@ -448,14 +394,13 @@ class ArchitectureMapper:
             netlist.const_nets[block.block_id] = float(block.params["value"])
         return netlist
 
-    def _complete(self, node_id: Optional[int], opamp_nr: int) -> None:
+    def _complete(self, node_id: int, opamp_nr: int) -> None:
         """A complete mapping: call the estimation tools (• in Fig. 5)."""
         uncovered = {
             b.block_id for b in self.sfg.processing_blocks()
         } - self._covered
         if uncovered:
             # A disconnected fragment escaped the frontier walk.
-            self._set_status(node_id, "dead-end")
             if self._explog is not None:
                 self._explog.emit(
                     "dead_end", node=node_id,
@@ -483,7 +428,6 @@ class ArchitectureMapper:
                 self._stats.constraint_violations[name] = (
                     self._stats.constraint_violations.get(name, 0) + 1
                 )
-            self._set_status(node_id, "infeasible", ", ".join(names))
             if self._explog is not None:
                 self._explog.emit(
                     "complete", node=node_id, opamps=opamp_nr,
@@ -493,9 +437,6 @@ class ArchitectureMapper:
                 )
             return
         self._stats.feasible_mappings += 1
-        self._set_status(
-            node_id, "complete", f"area {estimate.area_um2:,.0f} um^2"
-        )
         is_new_best = (
             self._best_estimate is None
             or estimate.area < self._best_estimate.area
@@ -512,7 +453,7 @@ class ArchitectureMapper:
         if self.options.first_solution_only:
             self._abort = True
 
-    def _truncate(self, reason: str, parent_node: Optional[int]) -> None:
+    def _truncate(self, reason: str, parent_node: int) -> None:
         """Stop the search at a budget, keeping the best incumbent."""
         self._stats.truncated = True
         self._stats.truncated_reason = reason
@@ -530,7 +471,7 @@ class ArchitectureMapper:
         self,
         pending: FrozenSet[int],
         opamp_nr: int,
-        parent_node: Optional[int],
+        parent_node: int,
     ) -> None:
         if self._abort:
             return
@@ -571,7 +512,6 @@ class ArchitectureMapper:
                 ],
             )
         if not candidates:
-            self._set_status(parent_node, "dead-end")
             if self._explog is not None:
                 self._explog.emit(
                     "dead_end", node=parent_node,
@@ -604,7 +544,6 @@ class ArchitectureMapper:
             if (
                 self.options.enable_bounding
                 and self.options.bounding_mode != "minarea"
-                and self._index is not None
                 and not self.options.enable_sharing
                 and self._best_estimate is not None
             ):
@@ -631,16 +570,7 @@ class ArchitectureMapper:
             ):
                 self._stats.nodes_pruned += 1
                 incumbent = self._best_estimate.area
-                node = self._trace(
-                    parent_node,
-                    f"alloc {match.component} for {sorted(match.cone)}",
-                    opamp_nr + match.opamps,
-                )
-                self._set_status(
-                    node, "pruned",
-                    f"bound {lower_bound * 1e12:,.0f} >= "
-                    f"incumbent {incumbent * 1e12:,.0f} um^2",
-                )
+                node = self._new_node()
                 if self._explog is not None:
                     self._explog.emit(
                         "prune", node=node, parent=parent_node,
@@ -653,11 +583,7 @@ class ArchitectureMapper:
                         incumbent_area=incumbent,
                     )
                 continue
-            node = self._trace(
-                parent_node,
-                f"alloc {match.component} for {sorted(match.cone)}",
-                opamp_nr + match.opamps,
-            )
+            node = self._new_node()
             if self._explog is not None:
                 self._explog.emit(
                     "alloc", node=node, parent=parent_node,
@@ -701,7 +627,7 @@ class ArchitectureMapper:
         match: PatternMatch,
         pending: FrozenSet[int],
         opamp_nr: int,
-        parent_node: Optional[int],
+        parent_node: int,
     ) -> None:
         """Sharing branch: reuse an existing identical component.
 
@@ -734,11 +660,7 @@ class ArchitectureMapper:
             # Reuse: alias this cone's output onto the instance's output.
             self._stats.nodes_visited += 1
             self._stats.shared_branches += 1
-            node = self._trace(
-                parent_node,
-                f"share {instance.name} for {sorted(match.cone)}",
-                opamp_nr,
-            )
+            node = self._new_node()
             if self._explog is not None:
                 self._explog.emit(
                     "share", node=node, parent=parent_node,
@@ -774,9 +696,8 @@ class ArchitectureMapper:
             registry.inc(f"mapper.violations.{name}", count)
         if stats.truncated:
             registry.inc("mapper.truncations")
-        if self._index is not None:
-            registry.inc("mapper.index.hits", self._index.hits)
-            registry.inc("mapper.index.misses", self._index.misses)
+        registry.inc("mapper.index.hits", self._index.hits)
+        registry.inc("mapper.index.misses", self._index.misses)
         registry.observe("mapper.runtime_s", stats.runtime_s)
 
     def run(self) -> MappingResult:
@@ -806,8 +727,7 @@ class ArchitectureMapper:
                 max_nodes=self.options.max_nodes,
             )
         with trace_phase("mapper.search", sfg=self.sfg.name) as span:
-            root_node = self._trace(None, "root", 0)
-            self._map(self._initial_pending(), 0, root_node)
+            self._map(self._initial_pending(), 0, self._new_node())
             self._stats.runtime_s = time.perf_counter() - start
             span.annotate(**self._stats.as_dict())
         if self._explog is not None:
@@ -860,7 +780,6 @@ class ArchitectureMapper:
             netlist=self._best_netlist,
             estimate=self._best_estimate,
             statistics=self._stats,
-            tree=self._tree,
             solution_opamps=self._solutions,
             diagnostics=diagnostics,
         )

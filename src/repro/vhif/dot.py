@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Dict, Iterable, List
 
+from repro.instrument.explog import decision_tree
 from repro.vhif.design import VhifDesign
 from repro.vhif.fsm import Fsm, START_STATE
 from repro.vhif.sfg import SignalFlowGraph
@@ -67,35 +68,36 @@ def fsm_to_dot(fsm: Fsm) -> str:
     return "\n".join(lines)
 
 
-def decision_tree_to_dot(tree: Sequence[object]) -> str:
+def decision_tree_to_dot(events: Iterable[Dict[str, object]]) -> str:
     """Render a Figure-6 decision tree as a status-colored DOT digraph.
 
-    ``tree`` is the :class:`~repro.synth.mapper.DecisionNode` list a
-    mapper run collects under ``MapperOptions(collect_tree=True)``
-    (duck-typed here to keep this module free of synth imports).
-    Nodes are colored by search outcome: pruned orange, complete
-    green, infeasible red, dead-end gray.
+    ``events`` is an exploration log (or its events, e.g. read back
+    from JSONL); the tree of its last mapper search is rebuilt by
+    :func:`repro.instrument.explog.decision_tree`.  Nodes are colored
+    by search outcome: pruned orange, complete green, infeasible red,
+    dead-end gray.
     """
     lines: List[str] = [
         'digraph "decision_tree" {',
         "  rankdir=TB;",
         '  node [shape=box, style="rounded,filled", fontsize=10];',
     ]
+    tree = decision_tree(events)
     for node in tree:
-        color = _STATUS_COLORS.get(node.status, _STATUS_COLORS["open"])
-        label = f"{node.decision}\\n{node.opamps} op amps"
-        detail = getattr(node, "detail", "")
-        if detail:
-            label += f"\\n{detail}"
-        if node.status not in ("open", "complete"):
-            label += f"\\n[{node.status}]"
+        status = node["status"]
+        color = _STATUS_COLORS.get(status, _STATUS_COLORS["open"])
+        label = f"{node['decision']}\\n{node['opamps']} op amps"
+        if node["detail"]:
+            label += f"\\n{node['detail']}"
+        if status not in ("open", "complete"):
+            label += f"\\n[{status}]"
         label = label.replace('"', "'")
         lines.append(
-            f'  n{node.node_id} [label="{label}", fillcolor="{color}"];'
+            f'  n{node["node"]} [label="{label}", fillcolor="{color}"];'
         )
     for node in tree:
-        if node.parent is not None:
-            lines.append(f"  n{node.parent} -> n{node.node_id};")
+        if node["parent"] is not None:
+            lines.append(f"  n{node['parent']} -> n{node['node']};")
     lines.append("}")
     return "\n".join(lines)
 

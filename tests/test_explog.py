@@ -5,20 +5,21 @@ import os
 
 import pytest
 
-from repro.apps import biquad_filter, power_meter
+from repro.apps import biquad_filter, power_meter, receiver
 from repro.cli import main
 from repro.estimation import ConstraintSet
 from repro.flow import FlowOptions, synthesize
 from repro.instrument import (
     ExplorationLog,
     active_explog,
+    decision_tree,
     disable_explog,
     enable_explog,
     explogging,
     narrate,
     render_exploration_html,
 )
-from repro.synth import InterfacingOptions, MapperOptions
+from repro.synth import InterfacingOptions
 from repro.diagnostics import Severity, SynthesisError
 from repro.vhif.dot import decision_tree_to_dot
 
@@ -242,13 +243,35 @@ class TestDisabledPath:
         assert result.netlist.instances  # ran fine with no recorder
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BIQUAD_EXAMPLE = os.path.join(ROOT, "examples", "biquad.vhd")
+#: ``vase explain examples/biquad.vhd --dot`` output, kept byte-exact
+BIQUAD_GOLDEN_DOT = os.path.join(
+    ROOT, "tests", "data", "biquad.decisions.dot"
+)
+
+#: decision events that create a tree node, and those that settle one
+BRANCH_EVENTS = ("alloc", "share", "prune")
+OUTCOME_EVENTS = ("candidates", "complete", "dead_end", "truncated")
+
+
+def explain_dot(tmp_path, spec):
+    """The decision-tree DOT ``vase explain SPEC --dot`` writes."""
+    dot = tmp_path / "tree.dot"
+    assert main([
+        "explain", spec,
+        "--jsonl", str(tmp_path / "tree.explog.jsonl"),
+        "--dot", str(dot),
+    ]) == 0
+    return dot.read_text(encoding="utf-8")
+
+
 class TestDecisionTreeDot:
     def test_dot_renders_status_colors(self):
         result = synthesize(
-            biquad_filter.VASS_SOURCE,
-            options=FlowOptions(mapper=MapperOptions(collect_tree=True)),
+            biquad_filter.VASS_SOURCE, options=FlowOptions(explog=True)
         )
-        dot = decision_tree_to_dot(result.mapping.tree)
+        dot = decision_tree_to_dot(result.explog)
         assert dot.startswith("digraph")
         assert "#1baf7a" in dot  # a complete (feasible) leaf
         assert "#eb6834" in dot  # at least one pruned node
@@ -256,6 +279,56 @@ class TestDecisionTreeDot:
 
     def test_dot_handles_empty_tree(self):
         assert "digraph" in decision_tree_to_dot([])
+
+    def test_explain_dot_matches_golden(self, tmp_path, capsys):
+        with open(BIQUAD_GOLDEN_DOT, "r", encoding="utf-8") as handle:
+            golden = handle.read()
+        assert explain_dot(tmp_path, BIQUAD_EXAMPLE) == golden
+
+    def test_tree_replays_from_jsonl(self, tmp_path, capsys):
+        dot = explain_dot(tmp_path, BIQUAD_EXAMPLE)
+        log = ExplorationLog.read(str(tmp_path / "tree.explog.jsonl"))
+        assert decision_tree_to_dot(log) == dot
+
+
+class TestDecisionIds:
+    """Plain ``FlowOptions(explog=True)`` logs carry the tree ids."""
+
+    @pytest.mark.parametrize(
+        "spec", [BIQUAD_EXAMPLE, "receiver"], ids=["biquad", "receiver"]
+    )
+    def test_ids_present_and_rebuild_explain_dot(
+        self, tmp_path, capsys, spec
+    ):
+        if spec == "receiver":
+            source = receiver.VASS_SOURCE
+        else:
+            with open(spec, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        result = synthesize(source, options=FlowOptions(explog=True))
+        # This run's search: an already-active recorder (the suite's
+        # VASE_EXPLOG smoke mode) also holds earlier runs' events.
+        events = list(result.explog)
+        starts = [
+            i for i, e in enumerate(events) if e["event"] == "search_start"
+        ]
+        events = events[starts[-1]:]
+        branches = [e for e in events if e["event"] in BRANCH_EVENTS]
+        outcomes = [e for e in events if e["event"] in OUTCOME_EVENTS]
+        assert branches and outcomes
+        for event in branches:
+            assert isinstance(event["node"], int)
+            assert isinstance(event["parent"], int)
+        for event in outcomes:
+            assert isinstance(event["node"], int)
+        # Branch ids count up from the root (node 0) in emission order.
+        assert [e["node"] for e in branches] == list(
+            range(1, len(branches) + 1)
+        )
+        assert len(decision_tree(events)) == len(branches) + 1
+        assert decision_tree_to_dot(result.explog) == explain_dot(
+            tmp_path, spec
+        )
 
 
 class TestConsolidatedDiagnostics:
@@ -283,11 +356,7 @@ class TestExplainRendering:
     def result(self):
         return synthesize(
             biquad_filter.VASS_SOURCE,
-            options=FlowOptions(
-                explog=True,
-                trace=True,
-                mapper=MapperOptions(collect_tree=True),
-            ),
+            options=FlowOptions(explog=True, trace=True),
         )
 
     def test_narrative_sections(self, result):

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import main
 from repro.estimation import ConstraintSet
 from repro.flow import FlowOptions, synthesize
+from repro.instrument import explogging
 from repro.synth import MapperOptions
 
 
@@ -46,9 +47,11 @@ class TestFlow:
         assert result.estimate.opamps <= 50
 
     def test_mapper_options_propagate(self):
-        options = FlowOptions(mapper=MapperOptions(collect_tree=True))
-        result = synthesize(SOURCE, options=options)
-        assert result.mapping.tree
+        options = FlowOptions(mapper=MapperOptions(sequencing="arbitrary"))
+        with explogging() as log:
+            synthesize(SOURCE, options=options)
+        (start,) = log.of_kind("search_start")
+        assert start["sequencing"] == "arbitrary"
 
     def test_fsm_realization_can_be_disabled(self):
         source = SOURCE.replace("-5.0", "-2.0")

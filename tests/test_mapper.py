@@ -4,6 +4,7 @@ import pytest
 
 from repro.diagnostics import SynthesisError
 from repro.estimation import ConstraintSet, Estimator
+from repro.instrument import decision_tree, explogging
 from repro.library import (
     ComponentLibrary,
     ComponentSpec,
@@ -124,7 +125,6 @@ class TestFigure6Scenario:
         g = weighted_sum_graph()
         result = map_sfg(
             g, library=figure6_library(), matcher=fig6_matcher(),
-            options=MapperOptions(collect_tree=True),
         )
         assert result.netlist.total_opamps() == 2
         components = sorted(i.spec.name for i in result.netlist.instances)
@@ -140,7 +140,7 @@ class TestFigure6Scenario:
             g,
             library=figure6_library(),
             matcher=fig6_matcher(),
-            options=MapperOptions(collect_tree=True, enable_bounding=False),
+            options=MapperOptions(enable_bounding=False),
         )
         counts = set(result.solution_opamps)
         assert 2 in counts  # comp1 + comp2
@@ -160,13 +160,12 @@ class TestFigure6Scenario:
 
     def test_decision_tree_collected(self):
         g = weighted_sum_graph()
-        result = map_sfg(
-            g, library=figure6_library(), matcher=fig6_matcher(),
-            options=MapperOptions(collect_tree=True),
-        )
-        assert result.tree
-        assert result.tree[0].decision == "root"
-        assert any(n.status == "complete" for n in result.tree)
+        with explogging() as log:
+            map_sfg(g, library=figure6_library(), matcher=fig6_matcher())
+        tree = decision_tree(log)
+        assert tree
+        assert tree[0]["decision"] == "root"
+        assert any(n["status"] == "complete" for n in tree)
 
 
 class TestBoundingRule:

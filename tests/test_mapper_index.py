@@ -3,18 +3,22 @@
 The index is a pure speed refactor: identical candidate ordering,
 identical alloc/share/prune/complete sequence, identical best mapping.
 The exploration log records every decision the search makes, so
-comparing full (timestamp-stripped) event streams between index-on and
-index-off runs proves behavioral equivalence end to end.
+comparing full (timestamp-stripped) event streams between the
+production mapper and the ``naive_mapper`` reference (per-node
+re-enumeration, see the root ``conftest.py``) proves behavioral
+equivalence end to end.
 """
 
 import os
+from unittest import mock
 
 import pytest
 
-from repro.apps import biquad_filter
+from repro.apps import ALL_APPLICATIONS, biquad_filter
 from repro.flow import FlowOptions, synthesize
 from repro.instrument import explogging, metrics
 from repro.synth import ArchitectureMapper, MapperOptions
+from repro.synth import mapper as mapper_module
 
 #: every event type the mapper search emits
 MAPPER_EVENTS = {
@@ -34,9 +38,13 @@ def biquad_source() -> str:
         return handle.read()
 
 
-def mapper_decisions(source: str, **mapper_kwargs):
-    """The mapper's decision sequence for one synthesis run."""
-    with explogging() as log:
+def mapper_decisions(
+    source: str, mapper_cls=ArchitectureMapper, **mapper_kwargs
+):
+    """The decision sequence of one synthesis run mapped by ``mapper_cls``."""
+    with explogging() as log, mock.patch.object(
+        mapper_module, "ArchitectureMapper", mapper_cls
+    ):
         result = synthesize(
             source, options=FlowOptions(mapper=MapperOptions(**mapper_kwargs))
         )
@@ -49,59 +57,69 @@ def mapper_decisions(source: str, **mapper_kwargs):
 
 
 class TestDecisionParity:
-    def test_biquad_explog_sequence_identical(self):
-        indexed, indexed_result = mapper_decisions(
-            biquad_source(), candidate_index=True
+    def test_biquad_explog_sequence_identical(self, naive_mapper):
+        indexed, indexed_result = mapper_decisions(biquad_source())
+        reference, reference_result = mapper_decisions(
+            biquad_source(), naive_mapper
         )
-        legacy, legacy_result = mapper_decisions(
-            biquad_source(), candidate_index=False
-        )
-        assert indexed == legacy
+        assert indexed == reference
         assert (
             indexed_result.mapping.estimate.area
-            == legacy_result.mapping.estimate.area
+            == reference_result.mapping.estimate.area
         )
         assert (
             indexed_result.netlist.describe()
-            == legacy_result.netlist.describe()
+            == reference_result.netlist.describe()
         )
 
     @pytest.mark.parametrize(
         "sequencing", ["largest_first", "smallest_first", "arbitrary"]
     )
-    def test_sequencing_modes_identical(self, sequencing):
-        indexed, _ = mapper_decisions(
-            biquad_source(), candidate_index=True, sequencing=sequencing
+    def test_sequencing_modes_identical(self, naive_mapper, sequencing):
+        indexed, _ = mapper_decisions(biquad_source(), sequencing=sequencing)
+        reference, _ = mapper_decisions(
+            biquad_source(), naive_mapper, sequencing=sequencing
         )
-        legacy, _ = mapper_decisions(
-            biquad_source(), candidate_index=False, sequencing=sequencing
-        )
-        assert indexed == legacy
+        assert indexed == reference
+
+    @pytest.mark.parametrize("app", sorted(ALL_APPLICATIONS))
+    def test_table1_apps_identical(self, naive_mapper, app):
+        source = ALL_APPLICATIONS[app].VASS_SOURCE
+        indexed, _ = mapper_decisions(source)
+        reference, _ = mapper_decisions(source, naive_mapper)
+        assert indexed
+        assert indexed == reference
 
 
 class TestMinAreaMemoBound:
     """Sharing off: the memo bound prunes more, never a different best."""
 
-    def _map(self, **kwargs):
-        source = biquad_filter.VASS_SOURCE
-        return synthesize(
-            source,
-            options=FlowOptions(
-                mapper=MapperOptions(enable_sharing=False, **kwargs)
-            ),
-        ).mapping
+    def _map(self, mapper_cls=ArchitectureMapper):
+        with mock.patch.object(
+            mapper_module, "ArchitectureMapper", mapper_cls
+        ):
+            return synthesize(
+                biquad_filter.VASS_SOURCE,
+                options=FlowOptions(
+                    mapper=MapperOptions(enable_sharing=False)
+                ),
+            ).mapping
 
-    def test_same_best_area_smaller_search(self):
-        indexed = self._map(candidate_index=True)
-        legacy = self._map(candidate_index=False)
-        assert indexed.estimate.area == pytest.approx(legacy.estimate.area)
+    def test_same_best_area_smaller_search(self, naive_mapper, monkeypatch):
+        indexed = self._map()
+        # The reference without the memo bound: the plain exact bound.
+        monkeypatch.setattr(
+            naive_mapper, "_min_alloc_area", lambda self, root: None
+        )
+        reference = self._map(naive_mapper)
+        assert indexed.estimate.area == pytest.approx(reference.estimate.area)
         # The tighter bound cuts subtrees earlier, so the indexed
         # search never visits more nodes (a branch pruned at its root
         # also records *fewer* individual prune events than pruning
         # each of its children would).
         assert (
             indexed.statistics.nodes_visited
-            <= legacy.statistics.nodes_visited
+            <= reference.statistics.nodes_visited
         )
         assert (
             indexed.statistics.feasible_mappings
@@ -110,22 +128,18 @@ class TestMinAreaMemoBound:
 
 
 class TestIndexMechanics:
-    def _mapper(self, **kwargs):
+    def _mapper(self):
         from repro.compiler import compile_design
 
         design = compile_design(biquad_filter.VASS_SOURCE)
-        sfg = design.sfgs[0]
-        return ArchitectureMapper(
-            sfg, options=MapperOptions(**kwargs)
-        )
+        return ArchitectureMapper(design.sfgs[0])
 
     def test_enumerates_each_root_once(self):
-        mapper = self._mapper(candidate_index=True)
+        mapper = self._mapper()
         registry = metrics()
         calls_before = registry.counter("patterns.candidate_calls")
         mapper.run()
         index = mapper._index
-        assert index is not None
         # One matcher enumeration per distinct root, by construction.
         assert (
             registry.counter("patterns.candidate_calls") - calls_before
@@ -137,13 +151,13 @@ class TestIndexMechanics:
         registry = metrics()
         hits_before = registry.counter("mapper.index.hits")
         misses_before = registry.counter("mapper.index.misses")
-        self._mapper(candidate_index=True).run()
+        self._mapper().run()
         assert registry.counter("mapper.index.misses") > misses_before
         # Any search deeper than one node re-queries enumerated roots.
         assert registry.counter("mapper.index.hits") >= hits_before
 
     def test_cover_uncover_roundtrip(self):
-        mapper = self._mapper(candidate_index=True)
+        mapper = self._mapper()
         index = mapper._index
         root = mapper.sfg.block(max(mapper._initial_pending()))
         full = index.candidates(root)
@@ -154,8 +168,3 @@ class TestIndexMechanics:
         assert all(not (m.cone & cone) for m in filtered)
         index.uncover(cone)
         assert index.candidates(root) == full
-
-    def test_index_off_has_no_index(self):
-        mapper = self._mapper(candidate_index=False)
-        assert mapper._index is None
-        assert mapper._area_by_match is None
