@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.compiler import CompilerOptions
@@ -60,8 +60,6 @@ from repro.pipeline import (
     PipelineSession,
     Task,
     create_executor,
-    stats_delta,
-    worker_cache,
 )
 from repro.robust.lifecycle import (
     CancelledError,
@@ -70,6 +68,8 @@ from repro.robust.lifecycle import (
     run_context,
 )
 from repro.robust.recovery import (
+    MAX_CAUSALIZATIONS,
+    MAX_RELAX_STEPS,
     OUTCOME_FAILED,
     OUTCOME_RECOVERED,
     OUTCOME_SKIPPED,
@@ -79,7 +79,6 @@ from repro.robust.recovery import (
     RUNG_RELAX,
     RecoveryEvent,
     RecoveryLog,
-    RecoveryOptions,
     relax_constraints,
 )
 from repro.synth import (
@@ -131,8 +130,6 @@ class FlowOptions:
     #: recorded on ``SynthesisResult.recovery``; a recovered run is
     #: explicitly *degraded*, never silent.
     recovery: bool = False
-    #: knobs of the recovery ladder (used only when ``recovery`` is on)
-    recovery_options: RecoveryOptions = field(default_factory=RecoveryOptions)
     #: map *every* enumerated DAE causalization (the paper: each
     #: causalization yields a distinct solver SFG and "synthesis
     #: considers all of them") and keep the best-area feasible result;
@@ -169,6 +166,16 @@ class FlowOptions:
     #: knob like ``parallel``: deliberately excluded from every content
     #: fingerprint (stage cache keys, ledger options digests).
     deadline_s: Optional[float] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Crossing a process boundary: the bus and the ledger stay with
+        # the submitting side (worker telemetry is forwarded, records
+        # are written at home), and the worker runs serially so it
+        # never spawns a pool of its own.  ``cache`` crosses as the
+        # worker's cache (``ArtifactCache.__reduce__``).
+        state = dict(self.__dict__)
+        state.update(telemetry=None, ledger=None, parallel=ParallelOptions())
+        return state
 
 
 @dataclass
@@ -577,82 +584,12 @@ def _emit_recovery(event: RecoveryEvent) -> None:
         explog.emit("recovery", **event.as_dict())
 
 
-def transportable_options(options: FlowOptions) -> FlowOptions:
-    """A copy of ``options`` fit for the process-backend pickling
-    boundary: live in-process resources (cache, telemetry bus, ledger)
-    are dropped — workers rebuild the cache from its disk directory,
-    telemetry is forwarded over the result channel, the ledger is
-    written by the submitting side — and ``parallel`` is reset to
-    serial so a worker never recursively spawns its own pool."""
-    return replace(
-        options,
-        cache=None,
-        telemetry=None,
-        ledger=None,
-        parallel=ParallelOptions(),
-    )
-
-
-@dataclass(frozen=True)
-class _SessionPayload:
-    """Everything a worker process needs to rebuild a pipeline session."""
-
-    source: str
-    entity_name: Optional[str]
-    architecture_name: Optional[str]
-    source_filename: Optional[str]
-    options: FlowOptions
-    library: ComponentLibrary
-    #: shared on-disk cache tier (``None``: worker-private memory cache)
-    cache_dir: Optional[str]
-
-
-def _session_payload(session: PipelineSession) -> _SessionPayload:
-    disk_dir = session.cache.disk_dir
-    return _SessionPayload(
-        source=session.source,
-        entity_name=session.entity_name,
-        architecture_name=session.architecture_name,
-        source_filename=session.source_filename,
-        options=transportable_options(session.options),
-        library=session.library,
-        cache_dir=str(disk_dir) if disk_dir is not None else None,
-    )
-
-
-def _solver_attempt_local(session: PipelineSession, index: int):
-    """One causalization attempt against the shared live session."""
+def _solver_attempt(session: PipelineSession, index: int):
+    """One causalization attempt: ``(result, None)`` or ``(None, error)``."""
     try:
-        return index, _synthesize_staged(session, solver_index=index), \
-            None, None
+        return _synthesize_staged(session, solver_index=index), None
     except SynthesisError as err:
-        return index, None, err, None
-
-
-def _solver_attempt_remote(payload: _SessionPayload, index: int):
-    """One causalization attempt inside a worker process.
-
-    Rebuilds the session from the picklable payload (per-process cache
-    over the shared disk tier) and ships back the cache-counter delta
-    this attempt caused, so the submitting side's aggregate stats stay
-    truthful."""
-    cache = (
-        worker_cache(payload.cache_dir)
-        if payload.cache_dir is not None else None
-    )
-    session = PipelineSession(
-        payload.source,
-        entity_name=payload.entity_name,
-        architecture_name=payload.architecture_name,
-        source_filename=payload.source_filename,
-        options=payload.options,
-        library=payload.library,
-        cache=cache,
-    )
-    before = session.cache.stats.as_dict()
-    index, result, error, _ = _solver_attempt_local(session, index)
-    delta = stats_delta(before, session.cache.stats.as_dict())
-    return index, result, error, delta
+        return None, err
 
 
 def _explore_solvers(session: PipelineSession) -> SynthesisResult:
@@ -680,28 +617,20 @@ def _explore_solvers(session: PipelineSession) -> SynthesisResult:
         # Workers inherit the submitting thread's run id (the executor
         # re-enters / forwards it), so their telemetry — cache ops,
         # metric deltas — lands on this run with dense seqs.
-        with create_executor(options.parallel.bounded(count)) as executor:
+        with create_executor(
+            options.parallel.bounded(count), cache=session.cache
+        ) as executor:
             span.annotate(executor=executor.kind)
-            if executor.distributed:
-                payload = _session_payload(session)
-                tasks = [
-                    Task(_solver_attempt_remote, (payload, index))
-                    for index in range(count)
-                ]
-            else:
-                tasks = [
-                    Task(_solver_attempt_local, (session, index))
-                    for index in range(count)
-                ]
-            outcomes = executor.map_ordered(tasks)
+            outcomes = executor.map_ordered([
+                Task(_solver_attempt, (session, index))
+                for index in range(count)
+            ])
 
         best_index: Optional[int] = None
         best_result: Optional[SynthesisResult] = None
         exploration: List[SolverOutcome] = []
         last_error: Optional[SynthesisError] = None
-        for index, result, error, delta in outcomes:
-            if delta is not None:
-                session.cache.stats.apply_delta(delta)
+        for index, (result, error) in enumerate(outcomes):
             if result is not None:
                 area = result.estimate.area
                 if best_result is None or (
@@ -757,7 +686,6 @@ def _recover(
     outright.
     """
     options = session.options
-    ropts = options.recovery_options
     log = RecoveryLog()
     _emit_recovery(log.record(
         RUNG_BASELINE, "branch-and-bound mapping",
@@ -772,146 +700,118 @@ def _recover(
     # Rung 1: alternative DAE causalizations.  Exactly one event when
     # the rung cannot run: FAILED when enumeration itself died, SKIPPED
     # when it succeeded but offered no alternative.
-    if not ropts.try_causalizations:
+    causalizations = None
+    try:
+        causalizations = session.enumerate_causalizations(
+            max_solvers=max(
+                options.compiler.max_solvers, MAX_CAUSALIZATIONS + 1,
+            ),
+        )
+    except VaseError as err:
         _emit_recovery(log.record(
-            RUNG_CAUSALIZATION, "alternative DAE causalizations",
-            OUTCOME_SKIPPED, "disabled by RecoveryOptions",
+            RUNG_CAUSALIZATION, "enumerate DAE causalizations",
+            OUTCOME_FAILED, str(err),
         ))
-    else:
-        causalizations = None
-        try:
-            causalizations = session.enumerate_causalizations(
-                max_solvers=max(
-                    options.compiler.max_solvers,
-                    ropts.max_causalizations + 1,
-                ),
-            )
-        except VaseError as err:
+    if causalizations is not None:
+        if len(causalizations) <= 1:
             _emit_recovery(log.record(
-                RUNG_CAUSALIZATION, "enumerate DAE causalizations",
-                OUTCOME_FAILED, str(err),
+                RUNG_CAUSALIZATION, "alternative DAE causalizations",
+                OUTCOME_SKIPPED,
+                f"{len(causalizations)} causalization(s) available",
             ))
-        if causalizations is not None:
-            if len(causalizations) <= 1:
-                _emit_recovery(log.record(
-                    RUNG_CAUSALIZATION, "alternative DAE causalizations",
-                    OUTCOME_SKIPPED,
-                    f"{len(causalizations)} causalization(s) available",
-                ))
-            else:
-                baseline = min(
-                    options.compiler.solver_index, len(causalizations) - 1
-                )
-                tried = 0
-                for index in range(len(causalizations)):
-                    if (
-                        index == baseline
-                        or tried >= ropts.max_causalizations
-                    ):
-                        continue
-                    tried += 1
-                    try:
-                        result = _synthesize_staged(
-                            session, solver_index=index
-                        )
-                    except SynthesisError as err:
-                        last_stats = err.statistics or last_stats
-                        _emit_recovery(log.record(
-                            RUNG_CAUSALIZATION, f"causalization #{index}",
-                            OUTCOME_FAILED, str(err),
-                        ))
-                        continue
+        else:
+            baseline = min(
+                options.compiler.solver_index, len(causalizations) - 1
+            )
+            tried = 0
+            for index in range(len(causalizations)):
+                if index == baseline or tried >= MAX_CAUSALIZATIONS:
+                    continue
+                tried += 1
+                try:
+                    result = _synthesize_staged(session, solver_index=index)
+                except SynthesisError as err:
+                    last_stats = err.statistics or last_stats
                     _emit_recovery(log.record(
                         RUNG_CAUSALIZATION, f"causalization #{index}",
-                        OUTCOME_RECOVERED,
-                        "alternative VHIF topology mapped feasibly",
+                        OUTCOME_FAILED, str(err),
                     ))
-                    return _finish(result)
+                    continue
+                _emit_recovery(log.record(
+                    RUNG_CAUSALIZATION, f"causalization #{index}",
+                    OUTCOME_RECOVERED,
+                    "alternative VHIF topology mapped feasibly",
+                ))
+                return _finish(result)
 
     # Rung 2: the greedy first-solution mapper (no unconstrained
     # fallback here — an infeasible greedy mapping must fail the rung
     # so constraint relaxation gets its turn).
-    if not ropts.try_greedy:
+    try:
+        result = _synthesize_staged(session, use_greedy=True)
+    except SynthesisError as err:
+        last_stats = err.statistics or last_stats
         _emit_recovery(log.record(
-            RUNG_GREEDY, "greedy mapper",
-            OUTCOME_SKIPPED, "disabled by RecoveryOptions",
+            RUNG_GREEDY, "greedy mapper", OUTCOME_FAILED, str(err),
         ))
     else:
-        try:
-            result = _synthesize_staged(session, use_greedy=True)
-        except SynthesisError as err:
-            last_stats = err.statistics or last_stats
-            _emit_recovery(log.record(
-                RUNG_GREEDY, "greedy mapper", OUTCOME_FAILED, str(err),
-            ))
-        else:
-            _emit_recovery(log.record(
-                RUNG_GREEDY, "greedy mapper", OUTCOME_RECOVERED,
-                "first-solution heuristic found a feasible mapping "
-                "(not proven optimal)",
-            ))
-            return _finish(result)
+        _emit_recovery(log.record(
+            RUNG_GREEDY, "greedy mapper", OUTCOME_RECOVERED,
+            "first-solution heuristic found a feasible mapping "
+            "(not proven optimal)",
+        ))
+        return _finish(result)
 
     # Rung 3: bounded constraint relaxation driven by the named
     # violation tally of the failed searches.
-    if not ropts.try_relaxation:
+    violations: Dict[str, int] = {}
+    if last_stats is not None:
+        violations = dict(
+            getattr(last_stats, "constraint_violations", {}) or {}
+        )
+    if not violations:
         _emit_recovery(log.record(
-            RUNG_RELAX, "constraint relaxation",
-            OUTCOME_SKIPPED, "disabled by RecoveryOptions",
+            RUNG_RELAX, "constraint relaxation", OUTCOME_SKIPPED,
+            "the failed searches named no violated constraints",
         ))
     else:
-        violations: Dict[str, int] = {}
-        if last_stats is not None:
-            violations = dict(
-                getattr(last_stats, "constraint_violations", {}) or {}
-            )
-        if not violations:
-            _emit_recovery(log.record(
-                RUNG_RELAX, "constraint relaxation", OUTCOME_SKIPPED,
-                "the failed searches named no violated constraints",
-            ))
-        else:
-            current = options.constraints
-            if options.derive_constraints_from_annotations:
-                try:
-                    design, _realized, _key = session.prepared()
-                    current = derive_constraints(design, current)
-                except VaseError:
-                    pass  # relax the explicit set instead
-            for step in range(1, ropts.max_relax_steps + 1):
-                relaxed, changes = relax_constraints(
-                    current, violations, ropts.relax_factor
-                )
-                if not changes:
-                    _emit_recovery(log.record(
-                        RUNG_RELAX, f"relax step {step}", OUTCOME_SKIPPED,
-                        "no named violation is relaxable",
-                    ))
-                    break
-                action = f"relax step {step}: " + "; ".join(changes)
-                try:
-                    result = _synthesize_staged(
-                        session, constraints_override=relaxed
-                    )
-                except SynthesisError as err:
-                    current = relaxed
-                    if err.statistics is not None and getattr(
-                        err.statistics, "constraint_violations", None
-                    ):
-                        violations = dict(
-                            err.statistics.constraint_violations
-                        )
-                    last_stats = err.statistics or last_stats
-                    _emit_recovery(log.record(
-                        RUNG_RELAX, action, OUTCOME_FAILED, str(err),
-                    ))
-                    continue
+        current = options.constraints
+        if options.derive_constraints_from_annotations:
+            try:
+                design, _realized, _key = session.prepared()
+                current = derive_constraints(design, current)
+            except VaseError:
+                pass  # relax the explicit set instead
+        for step in range(1, MAX_RELAX_STEPS + 1):
+            relaxed, changes = relax_constraints(current, violations)
+            if not changes:
                 _emit_recovery(log.record(
-                    RUNG_RELAX, action, OUTCOME_RECOVERED,
-                    "constraints loosened; result is DEGRADED relative "
-                    "to the original specification",
+                    RUNG_RELAX, f"relax step {step}", OUTCOME_SKIPPED,
+                    "no named violation is relaxable",
                 ))
-                return _finish(result)
+                break
+            action = f"relax step {step}: " + "; ".join(changes)
+            try:
+                result = _synthesize_staged(
+                    session, constraints_override=relaxed
+                )
+            except SynthesisError as err:
+                current = relaxed
+                if err.statistics is not None and getattr(
+                    err.statistics, "constraint_violations", None
+                ):
+                    violations = dict(err.statistics.constraint_violations)
+                last_stats = err.statistics or last_stats
+                _emit_recovery(log.record(
+                    RUNG_RELAX, action, OUTCOME_FAILED, str(err),
+                ))
+                continue
+            _emit_recovery(log.record(
+                RUNG_RELAX, action, OUTCOME_RECOVERED,
+                "constraints loosened; result is DEGRADED relative "
+                "to the original specification",
+            ))
+            return _finish(result)
 
     ladder = " | ".join(event.describe() for event in log.events)
     raise SynthesisError(

@@ -9,13 +9,7 @@ See :mod:`repro.pipeline.stages` for the stage graph,
 ``FlowOptions.explore_solvers``, ``vase batch`` and ``vase serve``.
 """
 
-from repro.pipeline.cache import (
-    MISS,
-    ArtifactCache,
-    CacheStats,
-    stats_delta,
-    worker_cache,
-)
+from repro.pipeline.cache import MISS, ArtifactCache, CacheStats
 from repro.pipeline.executor import (
     EXECUTOR_KINDS,
     Executor,
@@ -73,6 +67,4 @@ __all__ = [
     "fingerprint",
     "library_fingerprint",
     "stage_key",
-    "stats_delta",
-    "worker_cache",
 ]

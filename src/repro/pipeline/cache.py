@@ -11,6 +11,16 @@ Two tiers:
   survives process restarts and is shared safely between the workers
   of ``vase batch --executor thread|process``.
 
+A cache never crosses a process boundary as itself: pickling one
+yields a reference to the *worker cache* of the receiving process
+(:func:`worker_cache`) over the same disk directory — one per
+directory per process, its memory tier warm across every task the
+worker runs; a memory-only cache arrives as the worker's own memory
+cache.  The process executor snapshots the worker caches' counters
+around each task and folds the delta into the submitting side's cache
+(:meth:`CacheStats.apply_delta`), so aggregate stats count work done
+in other processes.
+
 Artifacts are treated as immutable: :meth:`ArtifactCache.put` stores a
 private deep copy and :meth:`ArtifactCache.get` hands back a fresh deep
 copy, so downstream stages (FSM realization, VHIF optimization,
@@ -83,13 +93,7 @@ class CacheStats:
         )
 
     def apply_delta(self, delta: Dict[str, object]) -> None:
-        """Fold a :func:`stats_delta` snapshot into these counters.
-
-        The process execution backend runs stages against per-worker
-        caches; each task ships back the counter delta it caused, and
-        the submitting side folds the deltas in here so aggregate
-        stats (``vase batch --cache-stats``, ``report.cache``) account
-        for work done in other processes."""
+        """Fold a :func:`stats_delta` snapshot into these counters."""
         for name in ("hits", "misses", "stores", "evictions",
                      "disk_hits", "disk_stores", "disk_errors"):
             setattr(self, name, getattr(self, name) + int(
@@ -245,6 +249,11 @@ class ArtifactCache:
         self.stats.disk_stores += 1
         metrics().inc("pipeline.cache.disk_store")
 
+    def __reduce__(self):
+        # Crossing a process boundary: arrive as the receiving
+        # process's worker cache over the same disk tier.
+        return (worker_cache, (str(self.disk_dir or ""),))
+
     # -- housekeeping ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -257,25 +266,29 @@ class ArtifactCache:
             self._memory.clear()
 
 
-#: Per-process caches of the ``process`` execution backend, one per
-#: disk directory: the memory tier stays warm across every task a
-#: worker runs, while the shared on-disk tier is how workers (and
-#: separate machines pointed at one directory) see each other's work.
+#: Per-process caches an unpickled :class:`ArtifactCache` resolves to,
+#: keyed by resolved disk directory (``""``: memory only).
 _WORKER_CACHES: Dict[str, ArtifactCache] = {}
 _WORKER_CACHES_LOCK = threading.Lock()
 
 
-def worker_cache(disk_dir: object) -> ArtifactCache:
-    """This process's :class:`ArtifactCache` over ``disk_dir``.
-
-    Process-backend tasks cannot carry the submitting side's live
-    cache object across the pickling boundary; they carry the disk
-    directory instead and rebuild (or reuse) the per-process cache
-    here."""
-    key = str(Path(disk_dir).resolve())
+def worker_cache(disk_dir: str) -> ArtifactCache:
+    """This process's :class:`ArtifactCache` over ``disk_dir``
+    (``""``: a memory-only one)."""
+    key = str(Path(disk_dir).resolve()) if disk_dir else ""
     with _WORKER_CACHES_LOCK:
         cache = _WORKER_CACHES.get(key)
         if cache is None:
-            cache = ArtifactCache(disk_dir=key)
+            cache = ArtifactCache(disk_dir=key or None)
             _WORKER_CACHES[key] = cache
         return cache
+
+
+def worker_stats() -> Dict[str, object]:
+    """The counters of every worker cache of this process, summed
+    (a :meth:`CacheStats.as_dict` snapshot)."""
+    total = CacheStats()
+    with _WORKER_CACHES_LOCK:
+        for cache in _WORKER_CACHES.values():
+            total.apply_delta(cache.stats.as_dict())
+    return total.as_dict()

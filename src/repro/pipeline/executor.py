@@ -19,13 +19,19 @@ speedup.  This module makes the executor a first-class choice:
     ``multiprocessing`` **spawn** workers behind a Pipe task bridge.
     True multi-core execution of CPU-bound synthesis.  Tasks cross
     the pickling boundary: a task is a *module-level function* plus
-    picklable arguments (closures and live sessions stay home — see
-    ``Executor.distributed``), results and escaped exceptions are
-    pickled back.  The on-disk ``.vase-cache/`` tier is the shared
-    store across workers; telemetry events published inside a worker
-    are forwarded over the result channel and re-published onto the
-    submitting run's bus, so per-run seqs stay dense no matter where
-    the event originated.
+    picklable arguments, results and escaped exceptions are pickled
+    back.  The types that hold live state decide how they cross, so a
+    caller submits the same task to every backend:
+    :class:`~repro.flow.FlowOptions` leaves its telemetry bus and
+    ledger home and arrives serial (a worker never spawns a pool of
+    its own), and an :class:`~repro.pipeline.cache.ArtifactCache`
+    arrives as the worker's per-process cache over the same on-disk
+    tier — the shared store across workers.  Each ``done`` message
+    carries the worker caches' counter delta for the task, folded into
+    the submitting side's cache before the future resolves.  Telemetry
+    events published inside a worker are forwarded over the result
+    channel and re-published onto the submitting run's bus, so per-run
+    seqs stay dense no matter where the event originated.
 
 All backends implement the same :class:`Executor` interface:
 ``submit`` (one task, returns a :class:`~concurrent.futures.Future`),
@@ -155,10 +161,6 @@ class Executor:
 
     #: backend name (one of :data:`EXECUTOR_KINDS`)
     kind: str = "serial"
-    #: True when tasks run in *other processes*: callers must submit
-    #: picklable module-level functions, and unpicklable context (live
-    #: sessions, caches, buses) must be rebuilt worker-side.
-    distributed: bool = False
 
     def __init__(self, workers: int = 1):
         if workers < 1:
@@ -301,8 +303,10 @@ def _worker_main(conn) -> None:
     requests, or the poison pill (``None``) meaning exit.  Replies are
     ``("event", task_id, category, payload)`` — telemetry forwarded
     live while the task runs — and one terminal ``("done", task_id,
-    ok, value)``.  All sends happen from the main thread, in order, so
-    the parent always sees a task's events before its result.
+    ok, value, cache_delta)``, where ``cache_delta`` is what this
+    process's worker caches counted during the task.  All sends happen
+    from the main thread, in order, so the parent always sees a task's
+    events before its result.
 
     A dedicated *listener* thread drains the pipe so a ``cancel``
     request is seen while a task runs: it cancels the current task's
@@ -318,6 +322,7 @@ def _worker_main(conn) -> None:
     from contextlib import ExitStack
 
     from repro.instrument.events import TelemetryBus, run_scope, telemetry
+    from repro.pipeline.cache import stats_delta, worker_stats
     from repro.robust.faultinject import inject_faults
     from repro.robust.lifecycle import (
         CancellationToken,
@@ -383,7 +388,7 @@ def _worker_main(conn) -> None:
                 CancelledError(
                     "task cancelled before it started on the worker"
                 )
-            )))
+            ), {}))
             continue
 
         def forward_event(event, _tid=task_id):
@@ -404,6 +409,7 @@ def _worker_main(conn) -> None:
         with current_lock:
             current["id"] = task_id
             current["token"] = token
+        before = worker_stats()
         ok = True
         try:
             if "executor.transient" in faults and attempt == 0:
@@ -428,14 +434,16 @@ def _worker_main(conn) -> None:
             with current_lock:
                 current["id"] = None
                 current["token"] = None
+        delta = stats_delta(before, worker_stats())
         try:
-            conn.send(("done", task_id, ok, value))
+            conn.send(("done", task_id, ok, value, delta))
         except Exception as err:  # noqa: BLE001 - unpicklable result
             conn.send((
                 "done", task_id, False,
                 _encode_error(VaseError(
                     f"task result is not picklable: {err!r}"
                 )),
+                delta,
             ))
     conn.close()
 
@@ -519,10 +527,13 @@ class ProcessExecutor(Executor):
     crashed workers by pipe EOF (failing their in-flight task with a
     :class:`VaseError` and spawning a replacement) and enforces the
     optional per-task timeout.
+
+    ``cache`` is the submitting side's artifact cache: each task's
+    worker-cache counter delta is folded into its stats before the
+    task's future resolves.
     """
 
     kind = "process"
-    distributed = True
 
     def __init__(
         self,
@@ -530,11 +541,13 @@ class ProcessExecutor(Executor):
         task_timeout_s: Optional[float] = None,
         start_method: str = "spawn",
         retry: Optional["RetryPolicy"] = None,
+        cache: Optional["ArtifactCache"] = None,
     ):
         from repro.robust.lifecycle import RetryPolicy
 
         super().__init__(workers=workers)
         self.task_timeout_s = task_timeout_s
+        self._cache = cache
         self._retry = retry if retry is not None else RetryPolicy()
         self._ctx = get_context(start_method)
         self._lock = threading.Lock()
@@ -683,7 +696,9 @@ class ProcessExecutor(Executor):
             self._republish(handle, category, payload)
             return
         if kind == "done":
-            _mkind, _tid, ok, value = message
+            _mkind, _tid, ok, value, delta = message
+            if self._cache is not None:
+                self._cache.stats.apply_delta(delta)
             with self._lock:
                 pending, handle.busy = handle.busy, None
                 if pending is not None and ok:
@@ -911,18 +926,24 @@ class ProcessExecutor(Executor):
             pass
 
 
-def create_executor(options: Optional[ParallelOptions] = None) -> Executor:
+def create_executor(
+    options: Optional[ParallelOptions] = None,
+    cache: Optional["ArtifactCache"] = None,
+) -> Executor:
     """The backend for ``options`` (default: serial).
 
     ``thread`` with one worker degrades to :class:`SerialExecutor`
     (a one-thread pool buys nothing); ``process`` always builds the
     pool, even one worker wide — process isolation is part of what
-    was asked for.
+    was asked for.  ``cache`` is the artifact cache the submitted
+    tasks work against; the ``process`` backend folds its workers'
+    counters into it (in-process backends count there directly).
     """
     options = options or ParallelOptions()
     if options.executor == "process":
         return ProcessExecutor(
-            options.workers, task_timeout_s=options.task_timeout_s
+            options.workers, task_timeout_s=options.task_timeout_s,
+            cache=cache,
         )
     if options.executor == "thread" and options.workers > 1:
         return ThreadExecutor(options.workers)

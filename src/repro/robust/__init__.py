@@ -60,7 +60,6 @@ from repro.robust.guards import (
 )
 from repro.robust.recovery import (
     RecoveryEvent,
-    RecoveryOptions,
     relax_constraints,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "FaultInjector",
     "NumericalWarning",
     "RecoveryEvent",
-    "RecoveryOptions",
     "RetryPolicy",
     "RunContext",
     "TransientError",

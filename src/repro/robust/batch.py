@@ -47,13 +47,7 @@ from repro.instrument.events import (
     new_run_id,
     run_scope,
 )
-from repro.pipeline import (
-    ArtifactCache,
-    ParallelOptions,
-    create_executor,
-    stats_delta,
-    worker_cache,
-)
+from repro.pipeline import ArtifactCache, ParallelOptions, create_executor
 
 #: Per-file outcome buckets.
 STATUS_OK = "ok"
@@ -358,28 +352,6 @@ def _finish_entry(entry: BatchEntry, bus) -> BatchEntry:
     return entry
 
 
-def _run_one_remote(
-    path_str: str, options, library, cache_dir: Optional[str]
-):
-    """One batch file inside a worker process.
-
-    The worker rebuilds its cache from the shared disk directory (the
-    memory tier stays warm per worker across tasks) and ships back the
-    cache-counter delta this file caused, so the submitting side's
-    aggregate report stays truthful."""
-    from dataclasses import replace
-
-    cache = worker_cache(cache_dir) if cache_dir is not None else None
-    before = cache.stats.as_dict() if cache is not None else None
-    opts = replace(options, cache=cache) if cache is not None else options
-    entry = _run_one(Path(path_str), opts, library)
-    delta = (
-        stats_delta(before, cache.stats.as_dict())
-        if cache is not None else None
-    )
-    return entry, delta
-
-
 def run_batch(
     files: Iterable[Path],
     options: Optional[object] = None,
@@ -408,7 +380,8 @@ def run_batch(
     the tail of the run.  ``cache`` is an artifact cache shared by
     every file of the run (stage keys are content-addressed, so
     sharing is always safe); under the ``process`` backend its on-disk
-    tier is the store the worker processes share.
+    tier is the store the worker processes share, and their counters
+    are folded back into it.
 
     ``journal`` is a :class:`~repro.robust.journal.BatchJournal`: each
     completed entry is appended (fsync'd) as it finishes, and entries
@@ -428,7 +401,7 @@ def run_batch(
     """
     from dataclasses import replace
 
-    from repro.flow import FlowOptions, transportable_options
+    from repro.flow import FlowOptions
 
     if options is None:
         options = FlowOptions(recovery=True)
@@ -497,34 +470,8 @@ def run_batch(
         # The executor propagates this scope's run id to its workers
         # (thread workers re-enter it, process workers ship it and
         # forward their telemetry), so the whole batch shares one run.
-        with create_executor(effective) as executor:
-            if executor.distributed:
-                shared = options.cache
-                cache_dir = (
-                    str(shared.disk_dir)
-                    if shared is not None and shared.disk_dir is not None
-                    else None
-                )
-                opts = transportable_options(options)
-                futures = [
-                    executor.submit(
-                        _run_one_remote, str(path), opts, library,
-                        cache_dir,
-                    )
-                    for _, path in pending
-                ]
-                try:
-                    for (index, _path), future in zip(pending, futures):
-                        entry, delta = future.result()
-                        if delta is not None and shared is not None:
-                            shared.stats.apply_delta(delta)
-                        entries[index] = entry
-                        journal_entry(index, entry)
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
-                    raise
-            elif executor.kind == "serial":
+        with create_executor(effective, cache=options.cache) as executor:
+            if executor.kind == "serial":
                 # Inline, one file at a time: each entry is journaled
                 # before the next file starts, so a kill at any point
                 # loses at most the file that was running.

@@ -74,28 +74,18 @@ class RecoveryEvent:
         }
 
 
-@dataclass
-class RecoveryOptions:
-    """Knobs of the recovery ladder."""
-
-    #: try alternative DAE causalizations (rung 1)
-    try_causalizations: bool = True
-    #: cap on alternative causalizations attempted
-    max_causalizations: int = 4
-    #: try the greedy mapper (rung 2)
-    try_greedy: bool = True
-    #: try constraint relaxation (rung 3)
-    try_relaxation: bool = True
-    #: cap on relaxation retries
-    max_relax_steps: int = 4
-    #: per-step loosening factor (limits multiply, floors divide)
-    relax_factor: float = 2.0
+#: Cap on alternative causalizations the ladder attempts (rung 1).
+MAX_CAUSALIZATIONS = 4
+#: Cap on constraint-relaxation steps (rung 3).
+MAX_RELAX_STEPS = 4
+#: Per-step loosening factor (limits multiply, floors divide).
+RELAX_FACTOR = 2.0
 
 
 def relax_constraints(
     constraints: ConstraintSet,
     violations: Dict[str, int],
-    factor: float = 2.0,
+    factor: float = RELAX_FACTOR,
 ) -> Tuple[ConstraintSet, List[str]]:
     """One relaxation step driven by the *named* violation tally.
 

@@ -10,16 +10,17 @@ HTTP-specific, so it is directly testable:
   ``queue_limit`` jobs are already waiting;
 * **execution** — a resident
   :class:`~repro.pipeline.ThreadExecutor` of orchestration threads
-  runs each job through
-  :func:`~repro.robust.batch.run_source`, the batch runner's
-  fault-isolating core, inside a
-  :func:`~repro.instrument.events.run_scope` tagged with the job id —
-  so every telemetry event of the job carries it.  With the
-  ``process`` backend (``vase serve --executor process``) the
-  synthesis itself is delegated to a resident
-  :class:`~repro.pipeline.ProcessExecutor`: spawned workers run the
-  flow off the GIL, share the cache's on-disk tier, and forward
-  their telemetry over the result channel so SSE streams stay dense;
+  hands each job, inside a
+  :func:`~repro.instrument.events.run_scope` tagged with the job id
+  (so every telemetry event of the job carries it), to one runner as
+  one task, :func:`_run_job`: the batch runner's fault-isolating core
+  (:func:`~repro.robust.batch.run_source`), then the rendered
+  artifacts and the ledger record.  The runner is inline on the
+  orchestration thread, or — with ``vase serve --executor process`` —
+  a resident :class:`~repro.pipeline.ProcessExecutor` whose spawned
+  workers run the flow off the GIL, share the cache's on-disk tier
+  (their counters folded back into it), and forward their telemetry
+  over the result channel so SSE streams stay dense;
 * **observability** — :meth:`JobManager.route`, subscribed to the
   process-wide bus, files each event into the owning job's bounded
   :class:`JobEventLog`; late SSE subscribers replay from seq 0 and
@@ -58,8 +59,8 @@ from repro.pipeline import (
     EXECUTOR_KINDS,
     ParallelOptions,
     ProcessExecutor,
+    SerialExecutor,
     ThreadExecutor,
-    worker_cache,
 )
 from repro.robust.lifecycle import (
     CancellationToken,
@@ -188,12 +189,7 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
 
 
 def render_artifacts(label: str, result) -> Dict[str, str]:
-    """Render the fetchable artifacts of a finished synthesis.
-
-    Module-level (not a manager method) because the ``process``
-    execution backend renders worker-side: strings pickle cheaply,
-    live :class:`~repro.flow.SynthesisResult` objects should not have
-    to."""
+    """Render the fetchable artifacts of a finished synthesis."""
     from repro.report import generate_report
     from repro.spice import to_spice_deck
 
@@ -214,57 +210,55 @@ def render_artifacts(label: str, result) -> Dict[str, str]:
     return artifacts
 
 
-def _run_job_remote(
-    source: str,
-    label: str,
-    entity: Optional[str],
-    options,
-    library,
-    cache_dir: Optional[str],
-    want_record: bool,
-) -> Dict[str, object]:
-    """One served job inside a worker process.
-
-    Runs the same fault-isolating core as the thread path
-    (:func:`~repro.robust.batch.run_source`), renders the artifacts
-    and builds the ledger record here — worker-side — and returns only
-    picklable plain data."""
-    from dataclasses import replace as _replace
-
+def _job_record(run_id: str, source: str, label: str, options, entry,
+                result=None, error: Optional[BaseException] = None):
+    """The ledger record of one finished job."""
     from repro.instrument.ledger import (
         record_for_cancelled,
         record_for_failure,
         record_for_result,
     )
+
+    if result is not None:
+        return record_for_result(
+            result, source, label, entry.elapsed_s, options,
+        )
+    if entry.status == STATUS_CANCELLED:
+        return record_for_cancelled(
+            run_id, source, label, entry.elapsed_s, options,
+            entry.error or "cancelled",
+        )
+    return record_for_failure(
+        run_id, source, label, entry.elapsed_s, options,
+        error if error is not None
+        else RuntimeError(entry.error or "failed"),
+    )
+
+
+def _run_job(
+    source: str,
+    label: str,
+    entity: Optional[str],
+    options,
+    library,
+    want_record: bool,
+):
+    """One served job, on whichever runner: ``(entry, artifacts,
+    record)``, all plain picklable data (``record`` is ``None`` unless
+    ``want_record``)."""
     from repro.robust.batch import run_source
 
-    opts = options
-    if cache_dir is not None:
-        opts = _replace(options, cache=worker_cache(cache_dir))
     entry, result, error = run_source(
-        source, label, opts, library, entity_name=entity
+        source, label, options, library, entity_name=entity
     )
-    artifacts: Dict[str, str] = {}
+    artifacts = {} if result is None else render_artifacts(label, result)
     record = None
-    if result is not None:
-        artifacts = render_artifacts(label, result)
-        if want_record:
-            record = record_for_result(
-                result, source, label, entry.elapsed_s, options,
-            )
-    elif want_record and entry.status == STATUS_CANCELLED:
-        record = record_for_cancelled(
-            current_run_id() or "", source, label, entry.elapsed_s,
-            options, entry.error or "cancelled",
+    if want_record:
+        record = _job_record(
+            current_run_id() or "", source, label, options, entry,
+            result, error,
         )
-    elif want_record:
-        record = record_for_failure(
-            current_run_id() or "", source, label, entry.elapsed_s,
-            options,
-            error if error is not None
-            else RuntimeError(entry.error or "failed"),
-        )
-    return {"entry": entry, "artifacts": artifacts, "record": record}
+    return entry, artifacts, record
 
 
 class JobEventLog:
@@ -359,8 +353,8 @@ class Job:
     )
     #: True once a cancel was requested (queued or running)
     cancel_requested: bool = False
-    #: the in-flight process-pool future (``--executor process`` only)
-    remote_future: Optional[object] = field(default=None, repr=False)
+    #: the future of the job's task while it runs on the runner
+    future: Optional[object] = field(default=None, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -410,9 +404,9 @@ class JobManager:
         execution: Optional[ParallelOptions] = None,
     ):
         """``execution`` selects the resident backend jobs run on:
-        ``thread`` (default; ``workers`` wide, the pre-executor
-        behavior) or ``process`` — the orchestration threads stay, but
-        each job's synthesis is delegated to a resident
+        ``thread`` (default; ``workers`` wide, each job runs inline on
+        its orchestration thread) or ``process`` — the orchestration
+        threads stay, but each job runs on a resident
         :class:`~repro.pipeline.ProcessExecutor` of the same width.
         ``serial`` degrades to one orchestration thread."""
         if queue_limit < 1:
@@ -431,11 +425,12 @@ class JobManager:
             else max(1, self.execution.workers)
         )
         self._pool = ThreadExecutor(width)
-        self._remote: Optional[ProcessExecutor] = (
+        self._runner = (
             ProcessExecutor(
-                width, task_timeout_s=self.execution.task_timeout_s
+                width, task_timeout_s=self.execution.task_timeout_s,
+                cache=options.cache,
             )
-            if self.execution.executor == "process" else None
+            if self.execution.executor == "process" else SerialExecutor()
         )
         self._lock = threading.Lock()
         self._jobs: "Dict[str, Job]" = {}
@@ -523,13 +518,6 @@ class JobManager:
     # -- execution (worker threads) -----------------------------------------
 
     def _execute(self, job: Job) -> None:
-        from repro.instrument.ledger import (
-            record_for_cancelled,
-            record_for_failure,
-            record_for_result,
-        )
-        from repro.robust.batch import run_source
-
         with self._lock:
             if job.status != STATUS_QUEUED:
                 # Cancelled while queued: cancel() already finalized
@@ -544,24 +532,7 @@ class JobManager:
                     CATEGORY_LIFECYCLE,
                     {"kind": "job", "phase": "running", "label": job.label},
                 )
-            result = None
-            error: Optional[BaseException] = None
-            record = None
-            if self._remote is not None:
-                entry, record = self._execute_remote(job)
-            else:
-                # The job's token becomes the thread-path run context,
-                # so cancel() reaches every checkpoint of the flow.
-                with run_context(RunContext(token=job.token)):
-                    entry, result, error = run_source(
-                        job.source,
-                        job.label,
-                        job.options,
-                        self.library,
-                        entity_name=job.entity,
-                    )
-                if result is not None:
-                    job.artifacts = render_artifacts(job.label, result)
+            entry, record = self._run(job)
             if bus is not None:
                 payload: Dict[str, object] = {
                     "kind": "job",
@@ -576,28 +547,12 @@ class JobManager:
                     payload["error"] = entry.error
                 bus.publish(CATEGORY_LIFECYCLE, payload)
         if self.ledger is not None:
+            if record is None:  # the task never finished
+                record = _job_record(
+                    job.id, job.source, job.label, job.options, entry,
+                )
             try:
-                if record is not None:
-                    # Remote execution built the record worker-side;
-                    # only the append happens here.
-                    self.ledger.append(record)
-                elif result is not None:
-                    self.ledger.append(record_for_result(
-                        result, job.source, job.label,
-                        entry.elapsed_s, job.options,
-                    ))
-                elif entry.status == STATUS_CANCELLED:
-                    self.ledger.append(record_for_cancelled(
-                        job.id, job.source, job.label, entry.elapsed_s,
-                        job.options, entry.error or "cancelled",
-                    ))
-                else:
-                    self.ledger.append(record_for_failure(
-                        job.id, job.source, job.label, entry.elapsed_s,
-                        job.options,
-                        error if error is not None
-                        else RuntimeError(entry.error or "failed"),
-                    ))
+                self.ledger.append(record)
             except OSError:  # pragma: no cover - ledger on a full disk
                 pass
         with self._lock:
@@ -615,52 +570,34 @@ class JobManager:
         # woken by close() always observes the final state.
         job.events.close()
 
-    def _execute_remote(self, job: Job):
-        """Run one job on the resident process pool.
+    def _run(self, job: Job):
+        """Run one job's task on the runner: ``(entry, record)``.
 
-        The worker gets a picklable payload (no live cache/bus/ledger;
-        the shared cache travels as its disk directory) and sends back
-        the entry, the rendered artifact strings and — when a ledger is
-        configured — the ready-to-append record, so nothing that needs
-        the live ``SynthesisResult`` runs on this side.  A crashed or
-        timed-out worker surfaces as a FAILED entry, never a hang.
+        The job's token is the run context, so a cancel reaches every
+        checkpoint of an inline run; the process runner relays
+        ``future.cancel()`` to the worker instead.  A task that never
+        finished — crashed or timed-out worker, cancellation — surfaces
+        as a FAILED or CANCELLED entry without a record, never a hang.
         """
         from concurrent.futures import CancelledError as FutureCancelled
 
         from repro.diagnostics import VaseError
-        from repro.flow import transportable_options
         from repro.robust.batch import BatchEntry
         from repro.robust.lifecycle import CancelledError
 
-        options = transportable_options(job.options)
-        fanout = job.options.parallel
-        if fanout != ParallelOptions():
-            # Preserve the job's solver-exploration fan-out inside the
-            # worker — downgraded to threads, since a spawned worker
-            # must not spawn its own process pool.
-            options = replace(options, parallel=ParallelOptions(
-                executor="thread" if fanout.workers > 1 else "serial",
-                workers=fanout.workers,
-            ))
-        shared = self.options.cache
-        cache_dir = (
-            str(shared.disk_dir)
-            if shared is not None and shared.disk_dir is not None
-            else None
-        )
-        future = self._remote.submit(
-            _run_job_remote,
-            job.source, job.label, job.entity, options,
-            self.library, cache_dir, self.ledger is not None,
-        )
+        with run_context(RunContext(token=job.token)):
+            future = self._runner.submit(
+                _run_job, job.source, job.label, job.entity, job.options,
+                self.library, self.ledger is not None,
+            )
         with self._lock:
-            job.remote_future = future
+            job.future = future
         if job.cancel_requested:
             # cancel() raced ahead of the submission; relay it now so
             # the worker-side token still gets the request.
             future.cancel()
         try:
-            outcome = future.result()
+            entry, job.artifacts, record = future.result()
         except CancelledError as err:
             entry = BatchEntry(
                 file=job.label, status=STATUS_CANCELLED, error=str(err),
@@ -679,9 +616,8 @@ class JobManager:
             return entry, None
         finally:
             with self._lock:
-                job.remote_future = None
-        job.artifacts = outcome["artifacts"]
-        return outcome["entry"], outcome["record"]
+                job.future = None
+        return entry, record
 
     # -- queries -------------------------------------------------------------
 
@@ -734,10 +670,10 @@ class JobManager:
                 self.done[STATUS_CANCELLED] = (
                     self.done.get(STATUS_CANCELLED, 0) + 1
                 )
-            remote = job.remote_future
+            future = job.future
         job.token.cancel(reason)
-        if remote is not None:
-            remote.cancel()
+        if future is not None:
+            future.cancel()
         if was_queued:
             self._finalize_cancelled_queued(job, reason)
         return job
@@ -821,5 +757,4 @@ class JobManager:
         with self._lock:
             self._closed = True
         self._pool.shutdown(wait=wait)
-        if self._remote is not None:
-            self._remote.shutdown(wait=wait)
+        self._runner.shutdown(wait=wait)

@@ -144,7 +144,6 @@ class TestParallelOptions:
         try:
             assert isinstance(thread, ThreadExecutor)
             assert isinstance(thread, Executor)
-            assert not thread.distributed
         finally:
             thread.shutdown()
 
@@ -279,6 +278,19 @@ class TestSharedCacheAcrossProcesses:
         assert warm_cache.stats.hits > 0
         assert warm_cache.stats.disk_hits == warm_cache.stats.hits
         assert warm.as_dict(timing=False) == cold.as_dict(timing=False)
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_memory_cache_counts_match_serial(self, kind):
+        """A memory-only cache counts the workers' stage work too."""
+        biquad = [EXAMPLES / "biquad.vhd"]
+        serial = run_batch(biquad, cache=ArtifactCache())
+        report = run_batch(
+            biquad,
+            parallel=ParallelOptions(executor=kind, workers=2),
+            cache=ArtifactCache(),
+        )
+        for name in ("misses", "stores"):
+            assert report.cache[name] == serial.cache[name] > 0
 
 
 class TestWorkerTelemetryForwarding:

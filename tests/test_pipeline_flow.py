@@ -107,8 +107,14 @@ class TestExploreSolvers:
         assert len(chosen) == 1
         assert chosen[0].area == pytest.approx(min(areas.values()))
 
-    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
-    def test_same_winner_for_any_worker_count(self, workers):
+    @pytest.mark.parametrize("executor, workers", [
+        pytest.param("serial", 1, id="1"),
+        pytest.param("thread", 2, id="2"),
+        pytest.param("thread", 4, id="4"),
+        pytest.param("thread", 8, id="8"),
+        pytest.param("process", 2, id="process"),
+    ])
+    def test_same_winner_for_any_worker_count(self, executor, workers):
         serial = synthesize(
             TWO_SOLVERS, options=FlowOptions(explore_solvers=True)
         )
@@ -116,10 +122,7 @@ class TestExploreSolvers:
             TWO_SOLVERS,
             options=FlowOptions(
                 explore_solvers=True,
-                parallel=ParallelOptions(
-                    executor="thread" if workers > 1 else "serial",
-                    workers=workers,
-                ),
+                parallel=ParallelOptions(executor=executor, workers=workers),
             ),
         )
         assert parallel.estimate.area == pytest.approx(
@@ -128,6 +131,26 @@ class TestExploreSolvers:
         assert [o.as_dict() for o in parallel.solver_exploration] == [
             o.as_dict() for o in serial.solver_exploration
         ]
+
+    def test_process_backend_matches_serial_over_disk_cache(self, tmp_path):
+        runs = {
+            kind: synthesize(
+                TWO_SOLVERS,
+                options=FlowOptions(
+                    explore_solvers=True,
+                    parallel=ParallelOptions(executor=kind, workers=2),
+                    cache=ArtifactCache(disk_dir=tmp_path / kind),
+                ),
+            )
+            for kind in ("serial", "process")
+        }
+        serial, process = runs["serial"], runs["process"]
+        assert [o.as_dict() for o in process.solver_exploration] == [
+            o.as_dict() for o in serial.solver_exploration
+        ]
+        # The workers' stage work is counted on the submitting cache.
+        assert process.cache_stats["stage_misses"] == \
+            serial.cache_stats["stage_misses"]
 
     def test_one_explog_event_per_solver(self):
         with explogging() as log:

@@ -432,6 +432,9 @@ class TestProcessBackendServe:
             records = ledger.records()
             assert len(records) == 1
             assert records[0].outcome == "ok"
+            # The worker's cache counters were folded into the shared
+            # cache before the job finished.
+            assert options.cache.stats.misses > 0
         finally:
             manager.stop(wait=True)
             disable_telemetry()
@@ -441,10 +444,11 @@ class TestProcessBackendServe:
     def test_worker_crash_fails_job_cleanly(self, tmp_path):
         """A worker killed mid-job yields a FAILED job, not a hang."""
         from repro.pipeline import ParallelOptions
-        from repro.serve import queue as queue_module
 
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
         manager = JobManager(
             FlowOptions(),
+            ledger=ledger,
             execution=ParallelOptions(executor="process", workers=1),
         )
         try:
@@ -453,7 +457,7 @@ class TestProcessBackendServe:
             # queued — either way the crash must surface as FAILED).
             deadline = time.time() + 60.0
             while time.time() < deadline:
-                workers = list(manager._remote._handles)
+                workers = list(manager._runner._handles)
                 if workers and job.status in ("queued", "running"):
                     for handle in workers:
                         if handle.busy:
@@ -465,6 +469,8 @@ class TestProcessBackendServe:
             assert job.status in ("ok", "degraded", "failed"), (
                 "job never reached a terminal state"
             )
+            # The crash fallback writes exactly one record for the job.
+            assert [r.outcome for r in ledger.records()] == ["failed"]
         finally:
             manager.stop(wait=True)
 
