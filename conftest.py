@@ -37,6 +37,71 @@ def fault_injector():
 
 
 @pytest.fixture
+def frozen_artifacts(monkeypatch):
+    """Fail the test if anything writes to a cached stage artifact.
+
+    Stage artifacts are shared by reference, so nothing may change one
+    once it is stored.  This wraps :meth:`ArtifactCache.put` to record
+    ``sha1(pickle.dumps(value))`` of every artifact stored in any cache
+    of this process, plus every artifact a :meth:`ArtifactCache.get`
+    unpickled from a disk tier (another process stored it); at
+    teardown each recorded artifact is digested again and must be
+    unchanged.  Yields the list of ``(stage, key, value, digest)``
+    records.  Unpicklable artifacts are not tracked.
+    """
+    import hashlib
+    import pickle
+    import threading
+
+    from repro.pipeline.cache import MISS, ArtifactCache
+
+    records = []
+    seen = set()
+    lock = threading.Lock()
+
+    def digest(value):
+        try:
+            return hashlib.sha1(pickle.dumps(value)).hexdigest()
+        except Exception:  # noqa: BLE001 - the disk tier skips these too
+            return None
+
+    def remember(stage, key, value):
+        with lock:
+            if id(value) in seen:
+                return
+            seen.add(id(value))
+        # The record keeps ``value`` alive, so its id stays unique.
+        record = (stage, key, value, digest(value))
+        with lock:
+            records.append(record)
+
+    put, get = ArtifactCache.put, ArtifactCache.get
+
+    def recording_put(self, key, value, stage=None):
+        remember(stage, key, value)
+        put(self, key, value, stage=stage)
+
+    def recording_get(self, key, stage=None):
+        value = get(self, key, stage=stage)
+        if value is not MISS:
+            remember(stage, key, value)
+        return value
+
+    monkeypatch.setattr(ArtifactCache, "put", recording_put)
+    monkeypatch.setattr(ArtifactCache, "get", recording_get)
+    yield records
+    changed = sorted({
+        f"{stage} {key[:12]}"
+        for stage, key, value, fingerprint in records
+        if fingerprint is not None and digest(value) != fingerprint
+    })
+    assert not changed, (
+        f"{len(changed)} cached artifact(s) written to after put: "
+        + ", ".join(changed)
+    )
+
+
+@pytest.fixture
 def force_backend(monkeypatch):
     """Pin the SPICE engines to one linear-solver backend.
 

@@ -92,15 +92,7 @@ def _perturbed_design(
     design: VhifDesign, tolerance: float, rng: random.Random
 ) -> VhifDesign:
     """A copy of the design with gain parameters Gaussian-perturbed."""
-    clone = VhifDesign(design.name)
-    for sfg in design.sfgs:
-        clone.add_sfg(sfg.copy())
-    clone.fsms = design.fsms  # FSMs are digital: no mismatch
-    clone.ports = design.ports
-    clone.event_sources = dict(design.event_sources)
-    clone.quantity_taps = dict(design.quantity_taps)
-    clone.constants = dict(design.constants)
-    clone.external_signals = set(design.external_signals)
+    clone = design.copy()  # FSMs are digital: no mismatch
     for sfg in clone.sfgs:
         for block in sfg.blocks:
             for param in _PERTURBABLE.get(block.kind, ()):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.compiler import CompilerOptions
@@ -861,7 +861,7 @@ def _synthesize_staged(
             netlist, interfacing_added, upstream_key = session.interfaced(
                 netlist, design, map_key
             )
-            mapping.netlist = netlist
+            mapping = replace(mapping, netlist=netlist)
         estimate, _ = session.estimated(netlist, constraints, upstream_key)
     return SynthesisResult(
         design=design,

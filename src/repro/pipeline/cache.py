@@ -21,12 +21,13 @@ around each task and folds the delta into the submitting side's cache
 (:meth:`CacheStats.apply_delta`), so aggregate stats count work done
 in other processes.
 
-Artifacts are treated as immutable: :meth:`ArtifactCache.put` stores a
-private deep copy and :meth:`ArtifactCache.get` hands back a fresh deep
-copy, so downstream stages (FSM realization, VHIF optimization,
-interfacing) may mutate what they received without corrupting the
-cache.  Unpicklable artifacts simply skip the disk tier — counted, not
-fatal.
+Artifacts are shared read-only: :meth:`ArtifactCache.put` stores the
+object it is given and :meth:`ArtifactCache.get` hands that same object
+to every caller (a disk hit unpickles once, then serves the unpickled
+object from memory).  Nothing may write to an artifact once it is
+stored; a stage that rewrites its input (FSM realization, VHIF
+optimization, interfacing) rewrites a copy it made itself.  Unpicklable
+artifacts simply skip the disk tier — counted, not fatal.
 
 Every hit/miss/store/eviction is mirrored into the process-wide
 :func:`repro.instrument.metrics` registry (``pipeline.cache.*`` and
@@ -36,7 +37,6 @@ shows what was skipped.
 
 from __future__ import annotations
 
-import copy
 import os
 import pickle
 import tempfile
@@ -160,7 +160,8 @@ class ArtifactCache:
     # -- the cache protocol ------------------------------------------------
 
     def get(self, key: str, stage: Optional[str] = None) -> object:
-        """A fresh copy of the artifact at ``key``, or :data:`MISS`."""
+        """The stored artifact at ``key`` (shared, read-only), or
+        :data:`MISS`."""
         with self._lock:
             if key in self._memory:
                 self._memory.move_to_end(key)
@@ -171,7 +172,7 @@ class ArtifactCache:
                         self.stats.stage_hits.get(stage, 0) + 1
                     )
                 self._note("hit", stage)
-                return copy.deepcopy(value)
+                return value
         if self.disk_dir is not None:
             path = self._disk_path(key)
             try:
@@ -191,7 +192,7 @@ class ArtifactCache:
                         )
                     self._note("hit", stage)
                     metrics().inc("pipeline.cache.disk_hit")
-                    return copy.deepcopy(value)
+                    return value
         with self._lock:
             self.stats.misses += 1
             if stage is not None:
@@ -203,14 +204,17 @@ class ArtifactCache:
 
     def put(self, key: str, value: object,
             stage: Optional[str] = None) -> None:
-        """Store a private copy of ``value`` under ``key``."""
-        private = copy.deepcopy(value)
+        """Store ``value`` itself under ``key``.
+
+        The caller hands over ownership: ``value`` must not be written
+        to afterwards, since every later :meth:`get` returns it.
+        """
         with self._lock:
-            self._insert(key, private)
+            self._insert(key, value)
             self.stats.stores += 1
         self._note("store", stage)
         if self.disk_dir is not None:
-            self._store_on_disk(key, private)
+            self._store_on_disk(key, value)
 
     def _insert(self, key: str, value: object) -> None:
         """Insert under the held lock, evicting the LRU tail."""

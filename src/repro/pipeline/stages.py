@@ -87,9 +87,11 @@ class PipelineSession:
     """One design bound to a cache: the stage graph of a synthesis run.
 
     The session owns no mutable artifact state — every stage output
-    lives in the cache and is handed out as a private copy — so one
-    session may be driven from several worker threads at once (the
-    solver-space exploration does exactly that).
+    lives in the cache and is shared read-only with every caller; the
+    stages that rewrite their input (FSM realization, VHIF
+    optimization, interfacing) rewrite a copy — so one session may be
+    driven from several worker threads at once (the solver-space
+    exploration does exactly that).
     """
 
     def __init__(
@@ -243,7 +245,8 @@ class PipelineSession:
             upstream = design
 
             def compute_realize():
-                return (upstream, realize_event_controls(upstream))
+                rewritten = upstream.copy()
+                return (rewritten, realize_event_controls(rewritten))
 
             design, realized = self._run(
                 REALIZE_FSM, digest, compute_realize,
@@ -254,8 +257,9 @@ class PipelineSession:
             unoptimized, riding = design, realized
 
             def compute_optimize():
-                optimize_design(unoptimized)
-                return (unoptimized, riding)
+                rewritten = unoptimized.copy()
+                optimize_design(rewritten)
+                return (rewritten, riding)
 
             design, realized = self._run(OPTIMIZE, digest, compute_optimize)
         return design, realized, digest
@@ -321,10 +325,11 @@ class PipelineSession:
         digest = INTERFACE.key(map_digest, self.options.interfacing)
 
         def compute():
+            rewritten = netlist.copy()
             added = apply_interfacing(
-                netlist, design, self.options.interfacing
+                rewritten, design, self.options.interfacing
             )
-            return (netlist, added)
+            return (rewritten, added)
 
         result, added = self._run(
             INTERFACE, digest, compute,

@@ -44,7 +44,7 @@ from repro.vhif.fsm import (
 from repro.vhif.sfg import Block, BlockKind, CONTROL_PORT, SignalFlowGraph
 
 
-@dataclass
+@dataclass(frozen=True)
 class RealizedControl:
     """Record of one FSM control signal realized by analog hardware."""
 

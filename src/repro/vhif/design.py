@@ -82,6 +82,25 @@ class VhifDesign:
     def add_port(self, info: PortInfo) -> None:
         self.ports[info.name] = info
 
+    def copy(self) -> "VhifDesign":
+        """A structural copy for a pass that rewrites the design.
+
+        Every SFG is copied (:meth:`SignalFlowGraph.copy`) and
+        ``event_sources`` is a new dict: those are all that FSM
+        realization, VHIF optimization and mismatch perturbation
+        write.  FSMs, ports, quantity taps, constants and external
+        signals are shared with the original, read-only.
+        """
+        clone = VhifDesign(self.name)
+        clone.sfgs = [sfg.copy() for sfg in self.sfgs]
+        clone.fsms = self.fsms
+        clone.ports = self.ports
+        clone.event_sources = dict(self.event_sources)
+        clone.quantity_taps = self.quantity_taps
+        clone.constants = self.constants
+        clone.external_signals = self.external_signals
+        return clone
+
     # -- queries -------------------------------------------------------------
 
     def sfg(self, name: str) -> SignalFlowGraph:

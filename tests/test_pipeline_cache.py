@@ -119,15 +119,21 @@ class TestArtifactCache:
         assert cache.stats.stage_hits == {"compile": 1}
         assert cache.stats.stage_misses == {"compile": 1}
 
-    def test_copies_isolate_the_stored_artifact(self):
-        cache = ArtifactCache()
+    def test_get_returns_the_stored_artifact(self, tmp_path):
+        cache = ArtifactCache(disk_dir=tmp_path / "store")
         original = {"nets": ["n1"]}
         cache.put("k", original)
-        original["nets"].append("corrupted-after-put")
-        first = cache.get("k")
-        assert first == {"nets": ["n1"]}
-        first["nets"].append("corrupted-after-get")
-        assert cache.get("k") == {"nets": ["n1"]}
+        assert cache.get("k") is original
+        assert cache.get("k") is original
+
+        # A restart: the disk hit unpickles a new object, and every
+        # later memory hit hands out that same object.
+        restarted = ArtifactCache(disk_dir=tmp_path / "store")
+        from_disk = restarted.get("k")
+        assert from_disk == original
+        assert from_disk is not original
+        assert restarted.get("k") is from_disk
+        assert restarted.stats.disk_hits == 1
 
     def test_lru_eviction_is_counted(self):
         cache = ArtifactCache(max_entries=2)
