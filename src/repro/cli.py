@@ -638,10 +638,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cache = ArtifactCache(disk_dir=args.cache)
     options = FlowOptions(
         trace=True, explog=True, recovery=True, cache=cache,
+        ledger=resolve_ledger(args.ledger, args.no_ledger),
     )
     manager = JobManager(
         options,
-        ledger=resolve_ledger(args.ledger, args.no_ledger),
         queue_limit=args.queue_limit,
         execution=execution,
     )

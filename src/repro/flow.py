@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.compiler import CompilerOptions
 from repro.diagnostics import Diagnostic, Severity, SynthesisError, VaseError
@@ -48,8 +48,11 @@ from repro.instrument.events import (
     telemetry,
 )
 from repro.instrument.ledger import (
+    OUTCOME_CANCELLED,
+    OUTCOME_DEGRADED,
+    OUTCOME_OK,
     RunLedger,
-    record_for_cancelled,
+    error_outcome,
     record_for_failure,
     record_for_result,
 )
@@ -62,7 +65,6 @@ from repro.pipeline import (
     create_executor,
 )
 from repro.robust.lifecycle import (
-    CancelledError,
     RunContext,
     active_context,
     run_context,
@@ -154,9 +156,10 @@ class FlowOptions:
     #: a bus is already active process-wide, events always join it
     #: regardless of this knob.
     telemetry: Optional[TelemetryBus] = None
-    #: run ledger this run appends its outcome record to (the CLI
-    #: resolves ``.vase-ledger/`` / ``VASE_LEDGER`` onto this knob;
-    #: ``None`` means no persistence)
+    #: run ledger this run appends its outcome record to — one record
+    #: per ``synthesize`` call, whatever its outcome (the CLI resolves
+    #: ``.vase-ledger/`` / ``VASE_LEDGER`` onto this knob; ``None``
+    #: means no persistence)
     ledger: Optional[RunLedger] = None
     #: whole-flow wall-clock budget in seconds.  Generalises the
     #: mapper's ``deadline_s``: the budget is installed on the run's
@@ -168,13 +171,14 @@ class FlowOptions:
     deadline_s: Optional[float] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        # Crossing a process boundary: the bus and the ledger stay with
-        # the submitting side (worker telemetry is forwarded, records
-        # are written at home), and the worker runs serially so it
-        # never spawns a pool of its own.  ``cache`` crosses as the
-        # worker's cache (``ArtifactCache.__reduce__``).
+        # Crossing a process boundary: the bus stays with the
+        # submitting side (worker telemetry is forwarded), and the
+        # worker runs serially so it never spawns a pool of its own.
+        # ``cache`` crosses as the worker's cache
+        # (``ArtifactCache.__reduce__``) and ``ledger`` by its path
+        # (``RunLedger.__reduce__``), so a worker's run records itself.
         state = dict(self.__dict__)
-        state.update(telemetry=None, ledger=None, parallel=ParallelOptions())
+        state.update(telemetry=None, parallel=ParallelOptions())
         return state
 
 
@@ -426,6 +430,12 @@ def synthesize(
     ``options.parallel`` selects) and the best-area feasible result is
     returned, the others recorded on
     ``SynthesisResult.solver_exploration``.
+
+    Every call ends in one place, whatever its outcome: one
+    ``finished`` lifecycle event (status ``ok``, ``degraded``,
+    ``failed`` or ``cancelled``) and, with ``options.ledger`` set, one
+    ledger record under the run's id.  A run that did not produce a
+    result then re-raises its error — front-end errors included.
     """
     options = options or FlowOptions()
     library = library or default_library()
@@ -489,92 +499,90 @@ def synthesize(
                     "explore_solvers": options.explore_solvers,
                 },
             )
+        # Every way the run can end — a result, any error (front end,
+        # compiler, mapper, internal), a cancel — goes through the one
+        # terminal path below: one ``finished`` event, one record.
+        outcome: Union[SynthesisResult, Exception]
         try:
-            try:
-                if options.explore_solvers:
-                    result = _explore_solvers(session)
-                else:
-                    result = _synthesize_staged(session)
-            except SynthesisError as err:
-                if not options.recovery:
-                    raise
-                result = _recover(session, err)
-        except CancelledError as err:
-            # Cancelled / over-budget runs still leave a full audit
-            # trail: a terminal lifecycle event, a cancellation event,
-            # and a ledger record with the "cancelled" outcome.
-            elapsed = time.perf_counter() - started
-            if bus is not None:
-                bus.publish(
-                    CATEGORY_LIFECYCLE,
-                    {
-                        "kind": "run",
-                        "phase": "finished",
-                        "status": "cancelled",
-                        "source": source_label,
-                        "error": str(err),
-                        "elapsed_s": elapsed,
-                    },
-                )
-                bus.publish(
-                    CATEGORY_CANCELLED,
-                    {
-                        "source": source_label,
-                        "reason": str(err),
-                        "elapsed_s": elapsed,
-                    },
-                )
-            if options.ledger is not None:
-                options.ledger.append(record_for_cancelled(
-                    run_id, source, source_label, elapsed, options,
-                    str(err),
-                ))
+            outcome = _run_flow(session)
+        except Exception as err:  # noqa: BLE001 - re-raised below
+            outcome = err
+        else:
+            outcome.trace = tracer
+            outcome.explog = explog
+            outcome.cache_stats = session.cache.stats.as_dict()
+            outcome.run_id = run_id
+        _end_run(
+            outcome, run_id, source, source_label, options,
+            time.perf_counter() - started,
+        )
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcome
+
+
+def _run_flow(session: PipelineSession) -> SynthesisResult:
+    """The run proper: plain or exploring, then the recovery ladder."""
+    options = session.options
+    try:
+        if options.explore_solvers:
+            return _explore_solvers(session)
+        return _synthesize_staged(session)
+    except SynthesisError as err:
+        if not options.recovery:
             raise
-        except SynthesisError as err:
-            elapsed = time.perf_counter() - started
-            if bus is not None:
-                bus.publish(
-                    CATEGORY_LIFECYCLE,
-                    {
-                        "kind": "run",
-                        "phase": "finished",
-                        "status": "failed",
-                        "source": source_label,
-                        "error": str(err),
-                        "elapsed_s": elapsed,
-                    },
-                )
-            if options.ledger is not None:
-                options.ledger.append(record_for_failure(
-                    run_id, source, source_label, elapsed, options, err,
-                ))
-            raise
-        result.trace = tracer
-        result.explog = explog
-        result.cache_stats = session.cache.stats.as_dict()
-        result.run_id = run_id
-        elapsed = time.perf_counter() - started
-        if bus is not None:
-            bus.publish(
-                CATEGORY_LIFECYCLE,
-                {
-                    "kind": "run",
-                    "phase": "finished",
-                    "status": "degraded" if result.degraded else "ok",
-                    "source": source_label,
-                    "design": result.design.name,
-                    "elapsed_s": elapsed,
-                },
-            )
-        if options.ledger is not None:
-            label = (
-                source_label if source_label != "<vass>"
-                else result.design.name
-            )
-            options.ledger.append(record_for_result(
-                result, source, label, elapsed, options,
-            ))
-    return result
+        return _recover(session, err)
+
+
+def _end_run(
+    outcome: Union[SynthesisResult, Exception],
+    run_id: str,
+    source: str,
+    source_label: str,
+    options: FlowOptions,
+    elapsed: float,
+) -> None:
+    """Publish the run's ``finished`` event and append its record.
+
+    A cancelled or over-budget run also publishes a ``cancelled``
+    event, so the audit trail names why the run stopped.
+    """
+    failed = isinstance(outcome, Exception)
+    if failed:
+        status = error_outcome(outcome)
+        detail = {"error": str(outcome)}
+    else:
+        status = OUTCOME_DEGRADED if outcome.degraded else OUTCOME_OK
+        detail = {"design": outcome.design.name}
+    bus = active_bus()
+    if bus is not None:
+        bus.publish(CATEGORY_LIFECYCLE, {
+            "kind": "run",
+            "phase": "finished",
+            "status": status,
+            "source": source_label,
+            **detail,
+            "elapsed_s": elapsed,
+        })
+        if status == OUTCOME_CANCELLED:
+            bus.publish(CATEGORY_CANCELLED, {
+                "source": source_label,
+                "reason": str(outcome),
+                "elapsed_s": elapsed,
+            })
+    if options.ledger is None:
+        return
+    if failed:
+        record = record_for_failure(
+            run_id, source, source_label, elapsed, options, outcome,
+        )
+    else:
+        label = (
+            source_label if source_label != "<vass>"
+            else outcome.design.name
+        )
+        record = record_for_result(outcome, source, label, elapsed, options)
+    options.ledger.append(record)
 
 
 def _emit_recovery(event: RecoveryEvent) -> None:

@@ -86,7 +86,7 @@ from repro.instrument.ledger import (
     LedgerRecord,
     RunLedger,
     format_stats,
-    record_for_cancelled,
+    record_for_failure,
     resolve_ledger,
     summarize,
 )
@@ -158,7 +158,7 @@ __all__ = [
     "OUTCOME_OK",
     "RunLedger",
     "format_stats",
-    "record_for_cancelled",
+    "record_for_failure",
     "resolve_ledger",
     "summarize",
     "render_family",

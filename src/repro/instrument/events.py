@@ -51,6 +51,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, IO, List, Optional, Union
 
+from repro.instrument.ledger import ALL_OUTCOMES
+
 #: Event categories, the ``category`` field of every event.
 CATEGORY_SPAN = "span"          # tracer span open/close
 CATEGORY_METRIC = "metric"      # metrics-registry deltas
@@ -402,7 +404,7 @@ class ProgressRenderer:
     """
 
     #: lifecycle phases that terminate one file
-    TERMINAL = ("ok", "degraded", "failed", "cancelled")
+    TERMINAL = ALL_OUTCOMES
 
     def __init__(self, stream: Optional[IO[str]] = None):
         import sys

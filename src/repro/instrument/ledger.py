@@ -4,8 +4,13 @@ Every ``synthesize``/``batch`` run (when a ledger is wired in —
 ``FlowOptions.ledger``, or the CLI default ``.vase-ledger/``) appends
 one JSON line to ``ledger.jsonl``: run id, wall-clock timestamp,
 source fingerprint, options digest, outcome bucket
-(``ok``/``degraded``/``failed``), key metrics, cache counters and
-durations.  The ledger is the cross-run memory the per-run channels
+(``ok``/``degraded``/``failed``/``cancelled``), key metrics, cache
+counters and durations.  Every way a run can end is recorded: a
+result, a lexer/parse/semantic/compile/synthesis error, an internal
+error, a cancel or an exhausted budget.  ``synthesize`` writes the
+record of a run itself, so ``vase synth``, ``vase batch`` and served
+jobs (in the server process or a ``process`` worker) all append
+through the same code.  The ledger is the cross-run memory the per-run channels
 lack: ``vase history`` lists recent runs (filterable by outcome and
 source), ``vase stats`` aggregates the whole file (degradation rate,
 cache hit rate, duration mean/p50/p95 overall and per phase), and the
@@ -39,7 +44,9 @@ from typing import Dict, List, Optional
 DEFAULT_LEDGER_DIR = ".vase-ledger"
 LEDGER_FILENAME = "ledger.jsonl"
 
-#: outcome buckets (shared with the batch runner's vocabulary)
+#: outcome buckets: the one run-outcome vocabulary, shared by the
+#: batch runner's entry statuses, the serve queue's terminal job
+#: states and the lifecycle events' terminal phases
 OUTCOME_OK = "ok"
 OUTCOME_DEGRADED = "degraded"
 OUTCOME_FAILED = "failed"
@@ -65,7 +72,7 @@ class LedgerRecord:
     source_fp: str
     #: fingerprint of the options subtrees that shape the result
     options_fp: str
-    #: ``ok`` / ``degraded`` / ``failed``
+    #: ``ok`` / ``degraded`` / ``failed`` / ``cancelled``
     outcome: str
     degraded: bool = False
     #: key result metrics (area, opamps, nodes_visited, ... or batch
@@ -134,6 +141,11 @@ class RunLedger:
         self._lock = threading.Lock()
         #: corrupt lines skipped by the last :meth:`records` call
         self.skipped = 0
+
+    def __reduce__(self):
+        # A ledger crosses a process boundary by path: every append is
+        # one ``O_APPEND`` write, so workers append to the same file.
+        return (RunLedger, (str(self.path),))
 
     def append(self, record: LedgerRecord) -> None:
         """Append one record (creating the ledger on first use).
@@ -289,6 +301,17 @@ def record_for_result(
     )
 
 
+def error_outcome(error: BaseException) -> str:
+    """The outcome of a run that raised ``error``: ``cancelled`` for a
+    :class:`~repro.robust.lifecycle.CancelledError` (a cancel request
+    or an exhausted budget), ``failed`` for any other error."""
+    from repro.robust.lifecycle import CancelledError
+
+    if isinstance(error, CancelledError):
+        return OUTCOME_CANCELLED
+    return OUTCOME_FAILED
+
+
 def record_for_failure(
     run_id: str,
     source: str,
@@ -297,7 +320,8 @@ def record_for_failure(
     options,
     error: BaseException,
 ) -> LedgerRecord:
-    """Build the ledger record of a ``synthesize`` run that died."""
+    """Build the ledger record of a run that ended without a result
+    (outcome by :func:`error_outcome`)."""
     metrics: Dict[str, object] = {"error": str(error)}
     statistics = getattr(error, "statistics", None)
     if statistics is not None:
@@ -312,32 +336,9 @@ def record_for_failure(
         source=source_label,
         source_fp=source_digest(source),
         options_fp=options_digest(options),
-        outcome=OUTCOME_FAILED,
+        outcome=error_outcome(error),
         degraded=False,
         metrics=metrics,
-        durations={"total_s": elapsed_s},
-    )
-
-
-def record_for_cancelled(
-    run_id: str,
-    source: str,
-    source_label: str,
-    elapsed_s: float,
-    options,
-    reason: str = "cancelled",
-) -> LedgerRecord:
-    """Build the ledger record of a run that was cancelled mid-flight."""
-    return LedgerRecord(
-        run_id=run_id,
-        kind="synth",
-        ts=time.time(),
-        source=source_label,
-        source_fp=source_digest(source),
-        options_fp=options_digest(options),
-        outcome=OUTCOME_CANCELLED,
-        degraded=False,
-        metrics={"error": str(reason)},
         durations={"total_s": elapsed_s},
     )
 

@@ -47,15 +47,14 @@ from repro.instrument.events import (
     new_run_id,
     run_scope,
 )
+from repro.instrument.ledger import (  # the per-file outcome buckets
+    OUTCOME_CANCELLED as STATUS_CANCELLED,
+    OUTCOME_DEGRADED as STATUS_DEGRADED,
+    OUTCOME_FAILED as STATUS_FAILED,
+    OUTCOME_OK as STATUS_OK,
+    error_outcome,
+)
 from repro.pipeline import ArtifactCache, ParallelOptions, create_executor
-
-#: Per-file outcome buckets.
-STATUS_OK = "ok"
-STATUS_DEGRADED = "degraded"
-STATUS_FAILED = "failed"
-#: the run was cancelled (or ran out of its wall-clock budget) before
-#: this file could finish
-STATUS_CANCELLED = "cancelled"
 
 #: Source suffixes ``vase batch <dir>`` picks up.
 SOURCE_SUFFIXES = (".vhd", ".vhdl", ".vass")
@@ -93,6 +92,23 @@ class BatchEntry:
             "warnings": list(self.warnings),
             "recovery": list(self.recovery),
         }
+
+    def terminal_payload(self, kind: str, subject: str) -> Dict[str, object]:
+        """The terminal lifecycle event of this entry: a batch file's
+        (``"file", "file"``) or a served job's (``"job", "label"``);
+        ``subject`` is the key that names the entry."""
+        payload: Dict[str, object] = {
+            "kind": kind,
+            "phase": self.status,
+            subject: self.file,
+            "elapsed_s": self.elapsed_s,
+        }
+        if self.design:
+            payload["design"] = self.design
+        if self.status in (STATUS_FAILED, STATUS_CANCELLED) \
+                and (self.error or self.errors):
+            payload["error"] = self.error or self.errors[0]
+        return payload
 
     def describe(self) -> str:
         text = f"{self.status.upper():9s} {self.file}"
@@ -244,36 +260,29 @@ def run_source(
     """Synthesize one source text with per-entry fault isolation.
 
     The shared execution core of ``vase batch`` and the ``vase serve``
-    job queue: every failure mode — syntax errors (collected, so all
-    of them are reported), semantic/synthesis errors, unexpected
-    exceptions — becomes a FAILED :class:`BatchEntry` instead of an
-    exception.  Returns ``(entry, result, error)``: ``result`` is the
-    :class:`~repro.flow.SynthesisResult` on success (the server builds
-    its artifacts from it), ``error`` the captured exception on
-    failure (the server feeds it to the ledger's ``record_for_failure``);
-    exactly one of the two is not ``None`` unless parsing failed, in
-    which case ``error`` is the first collected parse error.
+    job queue.  The run is one :func:`~repro.flow.synthesize` call,
+    which ends every run itself (its ``finished`` event and its ledger
+    record); this wrapper only turns the outcome into a
+    :class:`BatchEntry`, so every failure mode — syntax, semantic or
+    synthesis errors, unexpected exceptions, a cancel — becomes a
+    FAILED or CANCELLED entry instead of an exception.  On a lexer or
+    parse error the source is parsed once more in the parser's
+    error-recovery mode, so the entry lists *every* syntax error; that
+    second parse runs on this failure path only.  Returns ``(entry,
+    result)``: ``result`` is the :class:`~repro.flow.SynthesisResult`
+    on success (the server builds its artifacts from it), else
+    ``None``.
     """
     # Imported lazily: repro.flow imports the mapper, which imports the
     # fault-injection hooks from this package.
-    from repro.diagnostics import Severity, VaseError
+    from repro.diagnostics import LexerError, ParseError, Severity, VaseError
     from repro.flow import synthesize
-    from repro.robust.lifecycle import CancelledError
     from repro.vass.parser import parse_source_collecting
 
     entry = BatchEntry(file=label, status=STATUS_FAILED)
     start = time.perf_counter()
     result = None
-    error: Optional[BaseException] = None
     try:
-        _units, parse_errors = parse_source_collecting(
-            text, filename=label
-        )
-        if parse_errors:
-            entry.errors = [str(err) for err in parse_errors]
-            entry.error = entry.errors[0]
-            entry.elapsed_s = time.perf_counter() - start
-            return entry, None, parse_errors[0]
         result = synthesize(
             text,
             entity_name=entity_name,
@@ -281,18 +290,15 @@ def run_source(
             library=library,
             source_filename=label,
         )
-    except CancelledError as err:
-        # Before VaseError: CancelledError subclasses it, and a
-        # cancelled run is an outcome of its own, not a failure.
-        entry.status = STATUS_CANCELLED
-        entry.error = str(err)
-        error = err
+    except (LexerError, ParseError) as err:
+        _units, errors = parse_source_collecting(text, filename=label)
+        entry.errors = [str(error) for error in errors] or [str(err)]
+        entry.error = entry.errors[0]
     except VaseError as err:
+        entry.status = error_outcome(err)
         entry.error = str(err)
-        error = err
     except Exception as err:  # noqa: BLE001 - isolation is the point
         entry.error = f"internal error: {type(err).__name__}: {err}"
-        error = err
     else:
         entry.design = result.design.name
         entry.summary = result.summary
@@ -302,12 +308,9 @@ def run_source(
             if d.severity is not Severity.NOTE
         ]
         entry.recovery = [e.as_dict() for e in result.recovery]
-        recovered = any(
-            e.outcome == "recovered" for e in result.recovery
-        )
-        entry.status = STATUS_DEGRADED if recovered else STATUS_OK
+        entry.status = STATUS_DEGRADED if result.degraded else STATUS_OK
     entry.elapsed_s = time.perf_counter() - start
-    return entry, result, error
+    return entry, result
 
 
 def _run_one(path: Path, options, library) -> BatchEntry:
@@ -327,28 +330,10 @@ def _run_one(path: Path, options, library) -> BatchEntry:
             error=f"cannot read: {err}",
         )
         entry.elapsed_s = time.perf_counter() - start
-        return _finish_entry(entry, bus)
-    entry, _result, _error = run_source(
-        text, str(path), options, library
-    )
-    return _finish_entry(entry, bus)
-
-
-def _finish_entry(entry: BatchEntry, bus) -> BatchEntry:
-    """Publish the terminal lifecycle event of one file's entry."""
+    else:
+        entry, _result = run_source(text, str(path), options, library)
     if bus is not None:
-        payload: Dict[str, object] = {
-            "kind": "file",
-            "phase": entry.status,
-            "file": entry.file,
-            "elapsed_s": entry.elapsed_s,
-        }
-        if entry.design:
-            payload["design"] = entry.design
-        if entry.status in (STATUS_FAILED, STATUS_CANCELLED) \
-                and (entry.error or entry.errors):
-            payload["error"] = entry.error or entry.errors[0]
-        bus.publish(CATEGORY_LIFECYCLE, payload)
+        bus.publish(CATEGORY_LIFECYCLE, entry.terminal_payload("file", "file"))
     return entry
 
 

@@ -15,7 +15,7 @@ HTTP-specific, so it is directly testable:
   (so every telemetry event of the job carries it), to one runner as
   one task, :func:`_run_job`: the batch runner's fault-isolating core
   (:func:`~repro.robust.batch.run_source`), then the rendered
-  artifacts and the ledger record.  The runner is inline on the
+  artifacts.  The runner is inline on the
   orchestration thread, or — with ``vase serve --executor process`` —
   a resident :class:`~repro.pipeline.ProcessExecutor` whose spawned
   workers run the flow off the GIL, share the cache's on-disk tier
@@ -33,10 +33,15 @@ HTTP-specific, so it is directly testable:
   worker pipe under the ``process`` backend), and
   :meth:`JobManager.drain` is the SIGTERM path: stop admission, let
   running jobs finish within a timeout, cancel the rest;
-* **persistence** — every completed job is appended to the run ledger
-  through :func:`~repro.instrument.ledger.record_for_result` /
-  :func:`~repro.instrument.ledger.record_for_failure`, so ``/history``
-  and ``/stats`` see served jobs exactly like CLI runs.
+* **persistence** — every job leaves exactly one record in the run
+  ledger (``options.ledger``), so ``/history`` and ``/stats`` see
+  served jobs exactly like CLI runs.  A job whose run ends — with a
+  result, any error, or a cancel — is recorded by
+  :func:`~repro.flow.synthesize` itself, in whichever process ran it
+  (the ledger crosses to ``process`` workers by path).  The manager
+  records only a job whose run never reached its end: cancelled while
+  queued or before it started, or lost to a crashed or timed-out
+  worker.
 """
 
 from __future__ import annotations
@@ -47,13 +52,20 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.diagnostics import VaseError
 from repro.instrument.events import (
     CATEGORY_LIFECYCLE,
     TelemetryEvent,
     active_bus,
-    current_run_id,
     new_run_id,
     run_scope,
+)
+from repro.instrument.ledger import (
+    ALL_OUTCOMES,
+    OUTCOME_CANCELLED,
+    OUTCOMES,
+    error_outcome,
+    record_for_failure,
 )
 from repro.pipeline import (
     EXECUTOR_KINDS,
@@ -62,8 +74,10 @@ from repro.pipeline import (
     SerialExecutor,
     ThreadExecutor,
 )
+from repro.robust.batch import BatchEntry, run_source
 from repro.robust.lifecycle import (
     CancellationToken,
+    CancelledError,
     RunContext,
     run_context,
 )
@@ -71,9 +85,9 @@ from repro.robust.lifecycle import (
 #: job states before the terminal batch buckets take over
 STATUS_QUEUED = "queued"
 STATUS_RUNNING = "running"
-STATUS_CANCELLED = "cancelled"
-#: terminal states (the batch runner's vocabulary plus ``cancelled``)
-TERMINAL_STATUSES = ("ok", "degraded", "failed", STATUS_CANCELLED)
+STATUS_CANCELLED = OUTCOME_CANCELLED
+#: terminal states: the run outcomes
+TERMINAL_STATUSES = ALL_OUTCOMES
 
 #: whitelisted per-job flow options a POST may override
 ALLOWED_OPTIONS = (
@@ -120,8 +134,8 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
     :data:`ALLOWED_OPTIONS` may appear; anything else — unknown keys,
     wrong types, out-of-range values — raises :class:`JobOptionsError`
     (the server's 400).  The returned options share the base's cache
-    (the whole point of the resident service) but never its ledger:
-    the manager records outcomes itself, exactly once per job.
+    (the whole point of the resident service) and its ledger, which
+    the job's run appends its record to.
     """
     payload = dict(payload or {})
     unknown = sorted(set(payload) - set(ALLOWED_OPTIONS))
@@ -130,7 +144,7 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
             f"unknown option(s): {', '.join(unknown)} "
             f"(allowed: {', '.join(ALLOWED_OPTIONS)})"
         )
-    options = replace(base, ledger=None)
+    options = base
     if "deadline_s" in payload:
         deadline = payload["deadline_s"]
         if isinstance(deadline, bool) or not isinstance(
@@ -210,55 +224,20 @@ def render_artifacts(label: str, result) -> Dict[str, str]:
     return artifacts
 
 
-def _job_record(run_id: str, source: str, label: str, options, entry,
-                result=None, error: Optional[BaseException] = None):
-    """The ledger record of one finished job."""
-    from repro.instrument.ledger import (
-        record_for_cancelled,
-        record_for_failure,
-        record_for_result,
-    )
-
-    if result is not None:
-        return record_for_result(
-            result, source, label, entry.elapsed_s, options,
-        )
-    if entry.status == STATUS_CANCELLED:
-        return record_for_cancelled(
-            run_id, source, label, entry.elapsed_s, options,
-            entry.error or "cancelled",
-        )
-    return record_for_failure(
-        run_id, source, label, entry.elapsed_s, options,
-        error if error is not None
-        else RuntimeError(entry.error or "failed"),
-    )
-
-
 def _run_job(
     source: str,
     label: str,
     entity: Optional[str],
     options,
     library,
-    want_record: bool,
 ):
-    """One served job, on whichever runner: ``(entry, artifacts,
-    record)``, all plain picklable data (``record`` is ``None`` unless
-    ``want_record``)."""
-    from repro.robust.batch import run_source
-
-    entry, result, error = run_source(
+    """One served job, on whichever runner: ``(entry, artifacts)``,
+    both plain picklable data."""
+    entry, result = run_source(
         source, label, options, library, entity_name=entity
     )
     artifacts = {} if result is None else render_artifacts(label, result)
-    record = None
-    if want_record:
-        record = _job_record(
-            current_run_id() or "", source, label, options, entry,
-            result, error,
-        )
-    return entry, artifacts, record
+    return entry, artifacts
 
 
 class JobEventLog:
@@ -396,7 +375,6 @@ class JobManager:
         self,
         options,
         library=None,
-        ledger=None,
         workers: int = 2,
         queue_limit: int = 64,
         event_capacity: int = DEFAULT_EVENT_CAPACITY,
@@ -408,12 +386,12 @@ class JobManager:
         its orchestration thread) or ``process`` — the orchestration
         threads stay, but each job runs on a resident
         :class:`~repro.pipeline.ProcessExecutor` of the same width.
-        ``serial`` degrades to one orchestration thread."""
+        ``serial`` degrades to one orchestration thread.  Like the
+        cache, the run ledger is ``options.ledger``."""
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         self.options = options
         self.library = library
-        self.ledger = ledger
         self.queue_limit = queue_limit
         self.event_capacity = event_capacity
         self.max_jobs = max_jobs
@@ -520,8 +498,7 @@ class JobManager:
     def _execute(self, job: Job) -> None:
         with self._lock:
             if job.status != STATUS_QUEUED:
-                # Cancelled while queued: cancel() already finalized
-                # the job (status, ledger, closed event log).
+                # Cancelled while queued: cancel() already finished it.
                 return
             job.status = STATUS_RUNNING
             job.started_ts = time.time()
@@ -532,27 +509,69 @@ class JobManager:
                     CATEGORY_LIFECYCLE,
                     {"kind": "job", "phase": "running", "label": job.label},
                 )
-            entry, record = self._run(job)
-            if bus is not None:
-                payload: Dict[str, object] = {
-                    "kind": "job",
-                    "phase": entry.status,
-                    "label": job.label,
-                    "elapsed_s": entry.elapsed_s,
-                }
-                if entry.design:
-                    payload["design"] = entry.design
-                if entry.status in ("failed", STATUS_CANCELLED) \
-                        and entry.error:
-                    payload["error"] = entry.error
-                bus.publish(CATEGORY_LIFECYCLE, payload)
-        if self.ledger is not None:
-            if record is None:  # the task never finished
-                record = _job_record(
-                    job.id, job.source, job.label, job.options, entry,
+            entry, unfinished = self._run(job)
+        self._finish(job, entry, unfinished)
+
+    def _run(self, job: Job):
+        """Run one job's task on the runner: ``(entry, unfinished)``.
+
+        The job's token is the run context, so a cancel reaches every
+        checkpoint of an inline run; the process runner relays
+        ``future.cancel()`` to the worker instead.  A task that never
+        reached the end of its run — crashed or timed-out worker,
+        cancelled before it started — surfaces as a FAILED or
+        CANCELLED entry with the error as ``unfinished``, never a hang.
+        """
+        from concurrent.futures import CancelledError as FutureCancelled
+
+        with run_context(RunContext(token=job.token)):
+            future = self._runner.submit(
+                _run_job, job.source, job.label, job.entity, job.options,
+                self.library,
+            )
+        with self._lock:
+            job.future = future
+        if job.cancel_requested:
+            # cancel() raced ahead of the submission; relay it now so
+            # the worker-side token still gets the request.
+            future.cancel()
+        try:
+            entry, job.artifacts = future.result()
+        except (FutureCancelled, VaseError) as err:
+            if isinstance(err, FutureCancelled):
+                err = CancelledError(job.token.reason or "cancelled")
+            entry = BatchEntry(
+                file=job.label, status=error_outcome(err), error=str(err),
+            )
+            return entry, err
+        finally:
+            with self._lock:
+                job.future = None
+        return entry, None
+
+    def _finish(
+        self, job: Job, entry, unfinished: Optional[BaseException] = None,
+    ) -> None:
+        """Terminal bookkeeping of a job, however it ended.
+
+        Publishes the job's terminal lifecycle event, copies the entry
+        onto the job and closes its event log.  ``unfinished`` is the
+        error of a job whose run never reached its end (so wrote no
+        ledger record): the manager records that job itself.
+        """
+        bus = active_bus()
+        if bus is not None:
+            with run_scope(job.id):
+                bus.publish(
+                    CATEGORY_LIFECYCLE, entry.terminal_payload("job", "label")
                 )
+        ledger = job.options.ledger
+        if unfinished is not None and ledger is not None:
             try:
-                self.ledger.append(record)
+                ledger.append(record_for_failure(
+                    job.id, job.source, job.label, entry.elapsed_s,
+                    job.options, unfinished,
+                ))
             except OSError:  # pragma: no cover - ledger on a full disk
                 pass
         with self._lock:
@@ -569,55 +588,6 @@ class JobManager:
         # Terminal status is visible before close(): an SSE handler
         # woken by close() always observes the final state.
         job.events.close()
-
-    def _run(self, job: Job):
-        """Run one job's task on the runner: ``(entry, record)``.
-
-        The job's token is the run context, so a cancel reaches every
-        checkpoint of an inline run; the process runner relays
-        ``future.cancel()`` to the worker instead.  A task that never
-        finished — crashed or timed-out worker, cancellation — surfaces
-        as a FAILED or CANCELLED entry without a record, never a hang.
-        """
-        from concurrent.futures import CancelledError as FutureCancelled
-
-        from repro.diagnostics import VaseError
-        from repro.robust.batch import BatchEntry
-        from repro.robust.lifecycle import CancelledError
-
-        with run_context(RunContext(token=job.token)):
-            future = self._runner.submit(
-                _run_job, job.source, job.label, job.entity, job.options,
-                self.library, self.ledger is not None,
-            )
-        with self._lock:
-            job.future = future
-        if job.cancel_requested:
-            # cancel() raced ahead of the submission; relay it now so
-            # the worker-side token still gets the request.
-            future.cancel()
-        try:
-            entry, job.artifacts, record = future.result()
-        except CancelledError as err:
-            entry = BatchEntry(
-                file=job.label, status=STATUS_CANCELLED, error=str(err),
-            )
-            return entry, None
-        except FutureCancelled:
-            entry = BatchEntry(
-                file=job.label, status=STATUS_CANCELLED,
-                error=job.token.reason or "cancelled",
-            )
-            return entry, None
-        except VaseError as err:
-            entry = BatchEntry(
-                file=job.label, status="failed", error=str(err),
-            )
-            return entry, None
-        finally:
-            with self._lock:
-                job.future = None
-        return entry, record
 
     # -- queries -------------------------------------------------------------
 
@@ -647,7 +617,7 @@ class JobManager:
     def cancel(self, job_id: str, reason: str = "cancelled by request") -> Job:
         """Cancel one job; returns it with the cancel under way.
 
-        A *queued* job is dequeued and finalized immediately (terminal
+        A *queued* job is dequeued and finished immediately (terminal
         ``cancelled`` status, ledger record, closed event log — its
         scheduled execution slot becomes a no-op).  A *running* job is
         cancelled cooperatively: its token is set, so the flow abandons
@@ -664,43 +634,21 @@ class JobManager:
             job.cancel_requested = True
             was_queued = job.status == STATUS_QUEUED
             if was_queued:
+                # Terminal at once, so _execute never starts the job.
                 job.status = STATUS_CANCELLED
-                job.error = reason
-                job.finished_ts = time.time()
-                self.done[STATUS_CANCELLED] = (
-                    self.done.get(STATUS_CANCELLED, 0) + 1
-                )
             future = job.future
         job.token.cancel(reason)
         if future is not None:
             future.cancel()
         if was_queued:
-            self._finalize_cancelled_queued(job, reason)
+            self._finish(
+                job,
+                BatchEntry(
+                    file=job.label, status=STATUS_CANCELLED, error=reason,
+                ),
+                CancelledError(reason),
+            )
         return job
-
-    def _finalize_cancelled_queued(self, job: Job, reason: str) -> None:
-        """Terminal bookkeeping of a job cancelled before it started."""
-        bus = active_bus()
-        if bus is not None:
-            with run_scope(job.id):
-                bus.publish(CATEGORY_LIFECYCLE, {
-                    "kind": "job",
-                    "phase": STATUS_CANCELLED,
-                    "label": job.label,
-                    "elapsed_s": 0.0,
-                    "error": reason,
-                })
-        if self.ledger is not None:
-            from repro.instrument.ledger import record_for_cancelled
-
-            try:
-                self.ledger.append(record_for_cancelled(
-                    job.id, job.source, job.label, 0.0, job.options,
-                    reason,
-                ))
-            except OSError:  # pragma: no cover - ledger on a full disk
-                pass
-        job.events.close()
 
     def drain(self, timeout_s: float = 30.0) -> Dict[str, int]:
         """Graceful shutdown: stop admission, finish, then cancel.
@@ -744,7 +692,7 @@ class JobManager:
         return {
             "finished": sum(
                 1 for job in snapshot
-                if job.status in ("ok", "degraded", "failed")
+                if job.status in OUTCOMES
             ),
             "cancelled": sum(
                 1 for job in snapshot

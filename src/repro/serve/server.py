@@ -326,7 +326,7 @@ class VaseServeHandler(BaseHTTPRequestHandler):
         self._send_body(200, text.encode("utf-8"), ARTIFACT_TYPES[name])
 
     def _get_history(self, query) -> None:
-        ledger = self.manager.ledger
+        ledger = self.manager.options.ledger
         if ledger is None:
             return self._send_error_json(404, "run ledger is disabled")
         limit = None
@@ -348,7 +348,7 @@ class VaseServeHandler(BaseHTTPRequestHandler):
     def _get_stats(self) -> None:
         from repro.instrument import summarize
 
-        ledger = self.manager.ledger
+        ledger = self.manager.options.ledger
         if ledger is None:
             return self._send_error_json(404, "run ledger is disabled")
         stats = summarize(ledger.records())

@@ -3,8 +3,9 @@
 Satellite coverage: ``vase batch --executor thread --workers 4 --json``
 must be byte-identical to the serial run (with ``--no-timing``, since
 wall-clock fields differ even between two serial runs), a shared
-on-disk cache must make the second batch run all-hits, and the thread
-executor must run its tasks concurrently yet return them in order.
+on-disk cache must make the second batch run all-hits (except for the
+broken file: a failed run caches nothing), and the thread executor
+must run its tasks concurrently yet return them in order.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.cli import main
+from repro.instrument import metrics
 from repro.pipeline import ArtifactCache, ParallelOptions, Task, ThreadExecutor
 from repro.robust.batch import run_batch
 
@@ -41,6 +43,14 @@ def corpus(tmp_path):
     )
     (root / "c_broken.vhd").write_text(BROKEN)
     return root
+
+
+#: stage hits of a warm batch over the corpus: each good design hits
+#: every stage once (a ``compile`` hit never consults ``frontend``)
+WARM_STAGE_HITS = {
+    "compile": 2, "estimate": 2, "interfacing": 2, "map": 2,
+    "optimize_vhif": 2, "realize_fsm": 2,
+}
 
 
 def run_on_threads(thunks, workers):
@@ -128,8 +138,12 @@ class TestSharedBatchCache:
             parallel=ParallelOptions(executor="thread", workers=4),
             cache=warm_cache,
         )
-        assert warm_cache.stats.misses == 0
-        assert warm_cache.stats.hits > 0
+        # The two good designs hit every stage; the broken file failed
+        # in the front end, so its compile and frontend stages (and
+        # nothing else) miss on every run.
+        assert warm_cache.stats.stage_misses == {"compile": 1, "frontend": 1}
+        assert warm_cache.stats.hits == 12
+        assert warm_cache.stats.stage_hits == WARM_STAGE_HITS
         assert warm_cache.stats.disk_hits == warm_cache.stats.hits
         assert warm.as_dict(timing=False) == cold.as_dict(timing=False)
 
@@ -146,6 +160,21 @@ class TestSharedBatchCache:
         ])
         capsys.readouterr()
         stats = json.loads(stats_path.read_text())
-        assert stats["misses"] == 0
-        assert stats["hits"] > 0
+        assert stats["stage_misses"] == {"compile": 1, "frontend": 1}
+        assert stats["hits"] == 12
+        assert stats["stage_hits"] == WARM_STAGE_HITS
+
+
+class TestSingleParse:
+    def test_batch_lexes_each_parseable_file_once(self, corpus):
+        files = sorted(corpus.iterdir())[:2]  # the two good designs
+        before = metrics().snapshot()["counters"].get(
+            "frontend.lexer.runs", 0
+        )
+        report = run_batch(files)
+        after = metrics().snapshot()["counters"].get(
+            "frontend.lexer.runs", 0
+        )
+        assert report.ok == len(files)
+        assert after - before == len(files)
 

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.diagnostics import VaseError
+import repro.flow as flow_mod
 from repro.flow import FlowOptions, synthesize
 from repro.instrument import (
     RunLedger,
@@ -20,7 +21,7 @@ from repro.instrument import (
     enable_telemetry,
 )
 from repro.instrument.events import TelemetryEvent
-from repro.pipeline import ProcessExecutor
+from repro.pipeline import PipelineSession, ProcessExecutor
 from repro.robust import (
     BatchJournal,
     CancellationToken,
@@ -38,7 +39,7 @@ from repro.robust import (
     run_context,
     schedule_longest_first,
 )
-from repro.robust.batch import BatchEntry, run_source
+from repro.robust.batch import run_source
 from repro.robust.lifecycle import task_fingerprint
 from repro.serve import (
     JobConflictError,
@@ -190,24 +191,23 @@ class TestFlowBudget:
             synthesize(AMP, options=FlowOptions(deadline_s=1e-9))
 
     def test_run_source_maps_budget_to_cancelled_entry(self):
-        entry, result, error = run_source(
+        entry, result = run_source(
             AMP, "amp.vhd", FlowOptions(deadline_s=1e-9)
         )
         assert entry.status == "cancelled"
         assert result is None
-        assert isinstance(error, DeadlineExceeded)
+        assert "deadline exceeded" in entry.error
 
     def test_mapper_cancel_fault_cancels_the_run(self):
         # The fault needs an installed run context to cancel; a generous
         # budget provides one without ever expiring itself.
         with inject_faults("mapper.cancel"):
-            entry, _result, error = run_source(
+            entry, _result = run_source(
                 AMP, "amp.vhd", FlowOptions(deadline_s=600.0)
             )
         assert entry.status == "cancelled"
         assert "mapper.cancel" in entry.error
-        assert isinstance(error, CancelledError)
-        assert not isinstance(error, DeadlineExceeded)
+        assert "deadline exceeded" not in entry.error
 
     def test_cli_budget_flag(self, tmp_path):
         from repro.cli import main
@@ -292,35 +292,34 @@ class TestProcessRetries:
 # -- serve: cancellation over HTTP, drain, bearer auth -----------------------
 
 
-def _fake_run_source(text, label, options, library=None, entity_name=None):
-    """A controllable job body: blocks at a cooperative checkpoint
-    while the source contains ``block``, finishes quickly otherwise."""
-    entry = BatchEntry(file=label, status="failed")
-    start = time.perf_counter()
-    try:
-        if "block" in text:
-            for _ in range(4000):
-                checkpoint("test.block")
-                time.sleep(0.005)
-        entry.status = "ok"
-        entry.design = "fake"
-    except CancelledError as err:
-        entry.status = "cancelled"
-        entry.error = str(err)
-    entry.elapsed_s = time.perf_counter() - start
-    return entry, None, None
+_real_synthesize_staged = flow_mod._synthesize_staged
+
+
+def _fake_synthesize_staged(session, *args, **kwargs):
+    """A controllable run body: blocks at a cooperative checkpoint
+    while the source contains ``block``, then synthesizes ``AMP``.
+    Only the body is fake: the run still ends in ``synthesize``."""
+    if "block" in session.source:
+        for _ in range(4000):
+            checkpoint("test.block")
+            time.sleep(0.005)
+    amp = PipelineSession(
+        AMP, options=session.options, library=session.library,
+        cache=session.cache,
+    )
+    return _real_synthesize_staged(amp, *args, **kwargs)
 
 
 @pytest.fixture
 def served_slow(tmp_path, monkeypatch):
     """A live single-worker server whose jobs run a controllable body,
     so cancel-while-running is deterministic instead of a race."""
-    import repro.robust.batch as batch_mod
-
-    monkeypatch.setattr(batch_mod, "run_source", _fake_run_source)
+    monkeypatch.setattr(
+        flow_mod, "_synthesize_staged", _fake_synthesize_staged
+    )
     previous = disable_telemetry()
     ledger = RunLedger(tmp_path / "ledger.jsonl")
-    manager = JobManager(FlowOptions(), ledger=ledger, workers=1)
+    manager = JobManager(FlowOptions(ledger=ledger), workers=1)
     bus = TelemetryBus()
     bus.subscribe(manager.route)
     enable_telemetry(bus)
@@ -450,9 +449,9 @@ class TestDrain:
     def test_drain_finishes_quick_jobs_and_cancels_the_queue(
         self, monkeypatch
     ):
-        import repro.robust.batch as batch_mod
-
-        monkeypatch.setattr(batch_mod, "run_source", _fake_run_source)
+        monkeypatch.setattr(
+            flow_mod, "_synthesize_staged", _fake_synthesize_staged
+        )
         manager = JobManager(FlowOptions(), workers=1)
         try:
             running = manager.submit("short job")
@@ -469,9 +468,9 @@ class TestDrain:
             manager.stop(wait=True)
 
     def test_drain_timeout_cancels_stragglers(self, monkeypatch):
-        import repro.robust.batch as batch_mod
-
-        monkeypatch.setattr(batch_mod, "run_source", _fake_run_source)
+        monkeypatch.setattr(
+            flow_mod, "_synthesize_staged", _fake_synthesize_staged
+        )
         manager = JobManager(FlowOptions(), workers=1)
         try:
             stuck = manager.submit("block forever")
@@ -488,9 +487,9 @@ class TestDrain:
             manager.stop(wait=True)
 
     def test_manager_cancel_conflicts_on_terminal(self, monkeypatch):
-        import repro.robust.batch as batch_mod
-
-        monkeypatch.setattr(batch_mod, "run_source", _fake_run_source)
+        monkeypatch.setattr(
+            flow_mod, "_synthesize_staged", _fake_synthesize_staged
+        )
         manager = JobManager(FlowOptions(), workers=1)
         try:
             job = manager.submit("quick")

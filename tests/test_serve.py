@@ -67,8 +67,9 @@ def served(tmp_path):
     ledger = RunLedger(tmp_path / "ledger.jsonl")
     options = FlowOptions(
         trace=True, explog=True, recovery=True, cache=ArtifactCache(),
+        ledger=ledger,
     )
-    manager = JobManager(options, ledger=ledger, workers=2)
+    manager = JobManager(options, workers=2)
     bus = TelemetryBus()
     bus.subscribe(manager.route)
     enable_telemetry(bus)
@@ -173,7 +174,6 @@ class TestJobLifecycle:
         manager = served["manager"]
         job = manager.submit(AMP, options={"deadline_s": 12.5})
         assert job.options.mapper.deadline_s == 12.5
-        assert job.options.ledger is None
         _wait_terminal(served["base"], job.id)
 
 
@@ -375,10 +375,6 @@ class TestOptionWhitelist:
         built = build_job_options(self.BASE, {flag: False})
         assert getattr(built, flag) is False
 
-    def test_ledger_always_stripped(self):
-        base = FlowOptions(ledger=object())
-        assert build_job_options(base, None).ledger is None
-
     def test_executor_and_workers_accepted(self):
         from repro.pipeline import ParallelOptions
 
@@ -409,11 +405,11 @@ class TestProcessBackendServe:
         previous = disable_telemetry()
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         options = FlowOptions(
-            cache=ArtifactCache(disk_dir=tmp_path / "cache")
+            cache=ArtifactCache(disk_dir=tmp_path / "cache"),
+            ledger=ledger,
         )
         manager = JobManager(
             options,
-            ledger=ledger,
             execution=ParallelOptions(executor="process", workers=1),
         )
         bus = TelemetryBus()
@@ -447,8 +443,7 @@ class TestProcessBackendServe:
 
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         manager = JobManager(
-            FlowOptions(),
-            ledger=ledger,
+            FlowOptions(ledger=ledger),
             execution=ParallelOptions(executor="process", workers=1),
         )
         try:
@@ -472,6 +467,47 @@ class TestProcessBackendServe:
             # The crash fallback writes exactly one record for the job.
             assert [r.outcome for r in ledger.records()] == ["failed"]
         finally:
+            manager.stop(wait=True)
+
+
+class TestJobRecords:
+    @pytest.mark.parametrize("runner", ["thread", "process"])
+    def test_one_record_per_job(self, tmp_path, runner):
+        """Every served job leaves exactly one ledger record under its
+        own run id: a finished job is recorded by its run (in the
+        worker process, under the process runner), a job cancelled
+        while queued by the manager."""
+        from repro.pipeline import ParallelOptions
+
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        manager = JobManager(
+            FlowOptions(ledger=ledger),
+            execution=ParallelOptions(executor=runner, workers=1),
+        )
+        # Hold the single orchestration thread, so every job below
+        # waits in the queue until the gate opens.
+        gate = threading.Event()
+        manager._pool.submit(gate.wait, 60.0)
+        try:
+            good = manager.submit(AMP, label="amp.vhd")
+            bad = manager.submit(BROKEN, label="broken.vhd")
+            dropped = manager.submit(AMP, label="dropped.vhd")
+            manager.cancel(dropped.id)
+            gate.set()
+            deadline = time.time() + 60.0
+            while not all(job.terminal for job in (good, bad, dropped)):
+                assert time.time() < deadline, "jobs did not finish"
+                time.sleep(0.05)
+            assert sorted(
+                (record.run_id, record.outcome)
+                for record in ledger.records()
+            ) == sorted([
+                (good.id, "ok"),
+                (bad.id, "failed"),
+                (dropped.id, "cancelled"),
+            ])
+        finally:
+            gate.set()
             manager.stop(wait=True)
 
 
