@@ -163,6 +163,228 @@ def naive_mapper():
     return NaiveMapper
 
 
+@pytest.fixture
+def walking_interpreter():
+    """The reference interpreter the compiled-block parity tests compare to.
+
+    An :class:`~repro.vhif.interp.Interpreter` that evaluates the design
+    the way it did before blocks were compiled: every step walks each
+    SFG in topological order, looks up every block's drivers, control
+    and parameters, and re-derives each FSM's event names from its
+    conditions.  Block values and state live in dicts keyed by
+    ``(sfg name, block id)``.
+    """
+    import math
+
+    from repro.diagnostics import SimulationError
+    from repro.vhif.interp import Interpreter, _truthy
+    from repro.vhif.sfg import BlockKind
+
+    class WalkingInterpreter(Interpreter):
+        def _compile(self):
+            design = self.design
+            self._orders = {
+                sfg.name: sfg.topological_order() for sfg in design.sfgs
+            }
+            self._values = {}
+            self._state = {}
+            self._prev_input = {}
+            for sfg in design.sfgs:
+                for block in sfg.blocks:
+                    key = (sfg.name, block.block_id)
+                    if block.kind in (
+                        BlockKind.INTEGRATE,
+                        BlockKind.SAMPLE_HOLD,
+                        BlockKind.SWITCH,
+                    ):
+                        self._state[key] = float(
+                            block.params.get("initial", 0.0)
+                        )
+                    elif block.kind is BlockKind.COMPARATOR:
+                        self._state[key] = 0.0
+                    self._values[key] = 0.0
+            for fsm in design.fsms:
+                for signal in fsm.output_signals():
+                    self.env.setdefault(signal, "0")
+            for signal in design.external_signals:
+                self.env.setdefault(signal, "0")
+            self._input_block_names = {
+                block.name for sfg in design.sfgs for block in sfg.inputs
+            }
+
+        def _control_value(self, sfg, block):
+            driver = sfg.control_driver_of(block)
+            if driver is not None:
+                return self._values[(sfg.name, driver.block_id)]
+            signal = sfg.control_signal_of(block)
+            if signal is not None:
+                return self.env.get(signal, "0")
+            return "1"
+
+        def _eval_block(self, sfg, block):
+            key = (sfg.name, block.block_id)
+            kind = block.kind
+
+            def input_value(port):
+                pred = sfg.driver_of(block, port)
+                if pred is None:
+                    raise SimulationError(
+                        f"{sfg.name}: input {port} of {block.describe()} "
+                        "undriven"
+                    )
+                return float(self._values[(sfg.name, pred.block_id)])
+
+            if kind is BlockKind.INPUT:
+                fn = self.inputs.get(block.name)
+                if fn is None:
+                    return 0.0
+                return float(fn(self.time))
+            if kind is BlockKind.CONST:
+                return float(block.params["value"])
+            if kind is BlockKind.OUTPUT:
+                return input_value(0)
+            if kind is BlockKind.ADD:
+                return sum(input_value(p) for p in range(block.n_inputs))
+            if kind is BlockKind.SUB:
+                return input_value(0) - input_value(1)
+            if kind is BlockKind.MUL:
+                return input_value(0) * input_value(1)
+            if kind is BlockKind.DIV:
+                denominator = input_value(1)
+                if abs(denominator) < 1e-12:
+                    denominator = math.copysign(1e-12, denominator or 1.0)
+                return input_value(0) / denominator
+            if kind is BlockKind.SCALE:
+                return block.gain * input_value(0)
+            if kind is BlockKind.NEG:
+                return -input_value(0)
+            if kind is BlockKind.INTEGRATE:
+                return self._state[key]
+            if kind is BlockKind.DIFFERENTIATE:
+                previous = self._prev_input.get(key, input_value(0))
+                current = input_value(0)
+                return (current - previous) / self.dt
+            if kind is BlockKind.LOG:
+                return math.log(max(input_value(0), 1e-30))
+            if kind is BlockKind.EXP:
+                return math.exp(min(input_value(0), 700.0))
+            if kind is BlockKind.ABS:
+                return abs(input_value(0))
+            if kind is BlockKind.LIMIT:
+                low = float(block.params.get("low", -1.0))
+                high = float(block.params.get("high", 1.0))
+                return min(max(input_value(0), low), high)
+            if kind in (BlockKind.SAMPLE_HOLD, BlockKind.SWITCH):
+                if _truthy(self._control_value(sfg, block)):
+                    self._state[key] = input_value(0)
+                return self._state[key]
+            if kind is BlockKind.MUX:
+                select = self._control_value(sfg, block)
+                if isinstance(select, (bool, str)):
+                    index = 0 if _truthy(select) else 1
+                else:
+                    index = int(select)
+                index = min(max(index, 0), block.n_inputs - 1)
+                return input_value(index)
+            if kind is BlockKind.COMPARATOR:
+                threshold = float(block.params.get("threshold", 0.0))
+                hysteresis = float(block.params.get("hysteresis", 0.0))
+                value = input_value(0)
+                if self._state[key] > 0.5:
+                    high = value > threshold - hysteresis
+                else:
+                    high = value > threshold + hysteresis
+                self._state[key] = 1.0 if high else 0.0
+                if block.params.get("invert"):
+                    return not high
+                return high
+            if kind is BlockKind.ADC:
+                bits = int(block.params.get("bits", 8))
+                full_scale = float(block.params.get("full_scale", 5.0))
+                if not _truthy(self._control_value(sfg, block)):
+                    return self._values[key]
+                value = input_value(0)
+                levels = (1 << bits) - 1
+                code = round(min(max(value / full_scale, 0.0), 1.0) * levels)
+                return code * full_scale / levels
+            if kind in (BlockKind.DAC, BlockKind.BUFFER):
+                return input_value(0)
+            raise SimulationError(
+                f"cannot evaluate block kind {kind.value!r}"
+            )
+
+        def _integrate_states(self, sfg):
+            for block in sfg.blocks_of_kind(BlockKind.INTEGRATE):
+                pred = sfg.driver_of(block, 0)
+                if pred is None:
+                    continue
+                rate = float(self._values[(sfg.name, pred.block_id)])
+                self._state[(sfg.name, block.block_id)] += (
+                    block.gain * rate * self.dt
+                )
+            for block in sfg.blocks_of_kind(BlockKind.DIFFERENTIATE):
+                pred = sfg.driver_of(block, 0)
+                if pred is not None:
+                    self._prev_input[(sfg.name, block.block_id)] = float(
+                        self._values[(sfg.name, pred.block_id)]
+                    )
+
+        def _detect_events(self):
+            current = {}
+            for name, key in self.design.event_sources.items():
+                current[name] = self._values[key]
+                self.env[name] = self._values[key]
+            for fsm in self.design.fsms:
+                for name in fsm.event_names():
+                    if name in current or name.endswith("'above"):
+                        continue
+                    if name in self.env:
+                        current[name] = self.env[name]
+            for name, value in current.items():
+                if name not in self._prev_event_values:
+                    self.env[f"event:{name}"] = True
+                else:
+                    previous = self._prev_event_values[name]
+                    self.env[f"event:{name}"] = previous != value
+                self._prev_event_values[name] = value
+            for name, key in self.design.quantity_taps.items():
+                self.env[name] = self._values[key]
+
+        def step(self):
+            for name, fn in self.inputs.items():
+                if name in self._input_block_names:
+                    continue
+                value = fn(self.time)
+                if isinstance(value, str):
+                    self.env[name] = value
+                elif isinstance(value, bool):
+                    self.env[name] = "1" if value else "0"
+                else:
+                    self.env[name] = "1" if float(value) > 0.5 else "0"
+            for sfg in self.design.sfgs:
+                for block in self._orders[sfg.name]:
+                    self._values[(sfg.name, block.block_id)] = (
+                        self._eval_block(sfg, block)
+                    )
+            self._detect_events()
+            for fsm in self.design.fsms:
+                self._run_fsm(fsm)
+            for sfg in self.design.sfgs:
+                self._integrate_states(sfg)
+            self.time += self.dt
+
+        def probe(self, name):
+            for sfg in self.design.sfgs:
+                for block in sfg.blocks:
+                    if block.name == name:
+                        return self._values[(sfg.name, block.block_id)]
+            if name in self.env:
+                return self.env[name]
+            raise SimulationError(f"no probe target named {name!r}")
+
+    return WalkingInterpreter
+
+
 class _BoundedLog:
     """Session-wide recorder that trims its in-memory buffer.
 

@@ -124,14 +124,27 @@ def design_two_stage(
 
     # 3. Input pair from the UGF requirement; when the DC gain falls
     #    short, raise gm1 (Av scales with gm1^2 at fixed bias) — the
-    #    standard low-overdrive re-sizing step.
-    gm1 = 2.0 * math.pi * spec.ugf_hz * cc
-    ratio1, gm6, ratio6, i6, av = size_from_gm1(gm1)
-    for _ in range(8):
-        if av >= spec.dc_gain:
-            break
-        gm1 *= math.sqrt(spec.dc_gain / max(av, 1.0)) * 1.05
-        ratio1, gm6, ratio6, i6, av = size_from_gm1(gm1)
+    #    standard low-overdrive re-sizing step.  A raise aims for 5% gm1
+    #    past the gain-limited value and, however many steps it takes,
+    #    stops only once there; a stage whose UGF sizing lands inside
+    #    that margin is raised too.  Area then never falls as the
+    #    required UGF rises.
+    margin_gain = spec.dc_gain * 1.05 * 1.05
+
+    def raise_for_gain(gm1: float, steps: int):
+        sizing = size_from_gm1(gm1)
+        if sizing[-1] >= margin_gain:
+            return gm1, sizing
+        for _ in range(steps):
+            gm1 *= math.sqrt(margin_gain / max(sizing[-1], 1.0))
+            sizing = size_from_gm1(gm1)
+            if sizing[-1] >= margin_gain * (1.0 - 1e-9):
+                break
+        return gm1, sizing
+
+    gm1, (ratio1, gm6, ratio6, i6, av) = raise_for_gain(
+        2.0 * math.pi * spec.ugf_hz * cc, 8
+    )
     # Keep device aspect ratios practical by raising the bias current
     # beyond the slew minimum when a fast stage would otherwise need an
     # enormous W/L (the standard overdrive/current trade).
@@ -140,12 +153,7 @@ def design_two_stage(
         worst = max(ratio6, ratio1)
         i5 *= worst / ratio_target
         design.i5 = i5
-        ratio1, gm6, ratio6, i6, av = size_from_gm1(gm1)
-        for _ in range(4):
-            if av >= spec.dc_gain:
-                break
-            gm1 *= math.sqrt(spec.dc_gain / max(av, 1.0)) * 1.05
-            ratio1, gm6, ratio6, i6, av = size_from_gm1(gm1)
+        gm1, (ratio1, gm6, ratio6, i6, av) = raise_for_gain(gm1, 4)
     design.gm1 = gm1
     design.gm6 = gm6
     design.i6 = i6

@@ -108,9 +108,10 @@ class AcSolver:
 
     def _bias(self) -> np.ndarray:
         if self._operating_point is None:
-            op = self._mna._newton(
-                np.zeros(self._size), 0.0, None, None, None
-            )
+            with self._mna._analysis():
+                op = self._mna._newton(
+                    np.zeros(self._size), 0.0, None, None, None
+                )
             self._operating_point = op
         return self._operating_point
 

@@ -20,13 +20,21 @@ Every solver compiles its circuit into a :class:`StampTable` once,
 resolving node names to matrix indices at that point.  The table splits
 the stamps by how often they change: the linear matrix (gmin, R, C/dt
 companions, source branch stamps, controlled-source gains, switches at
-their current state) is built once per Newton solve; the right-hand
-side (source waveforms, capacitor companions) once per Newton solve,
-which in a transient means once per time step, so waveforms must be
-pure functions of ``t``; and only the Newton-linearized
+their current state) is built once per ``(dt, switch state)`` within
+one analysis and reused from a memo after that; the right-hand side
+(source waveforms, capacitor companions) once per Newton solve, which
+in a transient means once per time step, so waveforms must be pure
+functions of ``t``; and only the Newton-linearized
 :class:`SaturatingVcvs` / :class:`FunctionSource` stamps are applied on
-every assembly.  DC, transient and AC (:mod:`repro.spice.ac`) all
-assemble through this one table.
+every assembly.  Each Newton iterate is assembled once: the residual
+evaluation that accepts it hands its ``(A, b)`` to the next solve.
+DC, transient and AC (:mod:`repro.spice.ac`) all assemble through this
+one table.
+
+Every analysis (a DC solve, a transient, an AC bias point) publishes
+its Newton counters once, when it ends: ``spice.mna.assemblies`` and
+``spice.mna.newton_exhausted``, the solves that hit ``max_iter`` and
+returned their best-effort iterate.
 
 Node names are strings; ``"0"`` and ``"gnd"`` are ground.
 """
@@ -35,8 +43,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -382,6 +391,10 @@ class StampTable:
     nonlinear stamps touch only their own branch row, whose linear
     entries all precede them in element order; applying them last, on
     top of the linear matrix, keeps that order.
+
+    :meth:`linear` memoizes its matrices by ``(dt, switch state)``
+    until :meth:`forget` is called, which every analysis does when it
+    begins and ends.  The memoized matrices are read-only.
     """
 
     def __init__(
@@ -407,6 +420,11 @@ class StampTable:
         self.capacitors: List[Tuple[Capacitor, int, int]] = []
         self._switches: List[Tuple[Switch, int]] = []
         self.voltage_sources: List[VoltageSource] = []
+        self._linear_memo: Dict[
+            Tuple[Optional[float], Tuple[bool, ...]], np.ndarray
+        ] = {}
+        #: :meth:`assemble` calls over the table's life
+        self.assemblies = 0
 
         def term(i: int, j: int, value: float = 0.0) -> Optional[int]:
             if i < 0 or j < 0:
@@ -510,7 +528,24 @@ class StampTable:
     def linear(
         self, dt: Optional[float], switch_state: Sequence[bool]
     ) -> np.ndarray:
-        """The matrix of every linear stamp (capacitors open at DC)."""
+        """The matrix of every linear stamp (capacitors open at DC),
+        read-only, built once per ``(dt, switch_state)`` until
+        :meth:`forget`."""
+        key = (dt, tuple(switch_state))
+        matrix = self._linear_memo.get(key)
+        if matrix is None:
+            matrix = self._build_linear(dt, switch_state)
+            matrix.flags.writeable = False
+            self._linear_memo[key] = matrix
+        return matrix
+
+    def forget(self) -> None:
+        """Drop the memoized linear matrices."""
+        self._linear_memo.clear()
+
+    def _build_linear(
+        self, dt: Optional[float], switch_state: Sequence[bool]
+    ) -> np.ndarray:
         values = list(self._values)
         for position, number, sign in self._switch_terms:
             switch = self._switches[number][0]
@@ -569,6 +604,7 @@ class StampTable:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(A, b)`` at iterate ``x``: the nonlinear stamps, linearized
         at ``x``, on top of copies of the linear matrix and ``rhs``."""
+        self.assemblies += 1
         A = linear.copy()
         b = rhs.copy()
         if not (self._saturating or self._functions):
@@ -620,7 +656,7 @@ class _NewtonSystem:
         self._rhs = table.rhs(t, dt, prev)
         # In a transient the switches follow the previous step, so the
         # linear matrix is fixed for the whole solve.  At DC they follow
-        # the iterate, and the matrix is rebuilt whenever one flips.
+        # the iterate, and the matrix changes whenever one flips.
         self._follow_iterate = switch_controls is None
         self._state: Optional[Tuple[bool, ...]] = None
         self._linear: Optional[np.ndarray] = None
@@ -635,6 +671,13 @@ class _NewtonSystem:
                 self._state = state
                 self._linear = self._table.linear(self._dt, state)
         return self._table.assemble(x, self._linear, self._rhs)
+
+    def residual(
+        self, x: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, float]:
+        """``(A, b)`` at ``x`` and the residual norm ``max|A x - b|``."""
+        A, b = self(x)
+        return A, b, float(np.abs(A @ x - b).max())
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +734,8 @@ class MnaSolver:
             condition_text="voltages may be numerically meaningless",
         )
         self._backend: Optional[LinearSolver] = None
+        #: Newton solves that hit ``max_iter``, over this solver's life
+        self._exhausted = 0
         self.stamps = StampTable(
             circuit, self._index, self._n, self._size, gmin
         )
@@ -730,11 +775,6 @@ class MnaSolver:
 
     # -- Newton solve ------------------------------------------------------------
 
-    @staticmethod
-    def _residual_norm(assemble: _NewtonSystem, x: np.ndarray) -> float:
-        A, b = assemble(x)
-        return float(np.max(np.abs(A @ x - b))) if x.size else 0.0
-
     def _newton(
         self,
         x0: np.ndarray,
@@ -750,15 +790,20 @@ class MnaSolver:
         High-gain saturating stages (tanh with A = 2e4) make plain
         Newton oscillate between the rails; backtracking on the
         residual norm keeps every accepted step a true improvement.
+
+        Each iterate is assembled once: the residual evaluation that
+        accepts it (the initial guess, the line search's candidate or
+        the fallback step) also yields the ``(A, b)`` the next solve
+        uses.  Runs inside :meth:`_analysis`, which publishes the
+        assembly and exhausted-solve counts.
         """
         x = x0.copy()
         if not x.size:
             return x
-        assemble = _NewtonSystem(self.stamps, t, dt, prev, switch_controls)
-        residual = self._residual_norm(assemble, x)
+        system = _NewtonSystem(self.stamps, t, dt, prev, switch_controls)
+        A, b, residual = system.residual(x)
         backend = self._solver_backend()
         for _ in range(max_iter):
-            A, b = assemble(x)
             # The guard boundary owns fault injection, the singular
             # error (with suspect naming), the success/failure
             # factorization counters, and the once-per-analysis
@@ -767,7 +812,7 @@ class MnaSolver:
                 backend, A, b, self._guard, where=f" at t={t:g} s"
             )
             step = x_new - x
-            delta = float(np.max(np.abs(step)))
+            delta = float(np.abs(step).max())
             if delta < tol:
                 return x_new
             # Backtracking line search on the residual norm.
@@ -775,11 +820,11 @@ class MnaSolver:
             accepted = False
             for _try in range(10):
                 candidate = x + alpha * step
-                cand_residual = self._residual_norm(assemble, candidate)
+                cand_A, cand_b, cand_residual = system.residual(candidate)
                 if cand_residual <= residual * (1.0 - 1e-4 * alpha) or (
                     cand_residual < tol
                 ):
-                    x = candidate
+                    x, A, b = candidate, cand_A, cand_b
                     residual = cand_residual
                     accepted = True
                     break
@@ -787,17 +832,38 @@ class MnaSolver:
             if not accepted:
                 # Take the smallest step anyway to escape flat spots.
                 x = x + alpha * step
-                residual = self._residual_norm(assemble, x)
+                A, b, residual = system.residual(x)
             if residual < tol:
                 return x
+        self._exhausted += 1
         return x  # best effort; tests check accuracy explicitly
+
+    @contextmanager
+    def _analysis(self) -> Iterator[None]:
+        """One analysis (a DC solve, a transient, an AC bias point): the
+        scope of the linear-matrix memo, and of the Newton counters it
+        publishes when it ends."""
+        self.stamps.forget()
+        assemblies, exhausted = self.stamps.assemblies, self._exhausted
+        try:
+            yield
+        finally:
+            self.stamps.forget()
+            registry = metrics()
+            registry.inc(
+                "spice.mna.assemblies", self.stamps.assemblies - assemblies
+            )
+            registry.inc(
+                "spice.mna.newton_exhausted", self._exhausted - exhausted
+            )
 
     # -- public analyses ----------------------------------------------------------------
 
     def dc_operating_point(self) -> Dict[str, float]:
         """Newton DC solution (capacitors open)."""
         self._guard.reset()
-        x = self._newton(np.zeros(self._size), 0.0, None, None, None)
+        with self._analysis():
+            x = self._newton(np.zeros(self._size), 0.0, None, None, None)
         self._check_solution_finite(x)
         return {
             name: float(x[index])
@@ -838,13 +904,14 @@ class MnaSolver:
                     elif j >= 0 and i < 0:
                         x[j] = -element.ic
         prev = x.copy()
-        for step in range(n_steps):
-            t = (step + 1) * dt
-            x = self._newton(x, t, dt, prev, switch_controls=prev)
-            self._check_solution_finite(x, t=t)
-            times[step] = t
-            states[step] = x
-            prev = x.copy()
+        with self._analysis():
+            for step in range(n_steps):
+                t = (step + 1) * dt
+                x = self._newton(x, t, dt, prev, switch_controls=prev)
+                self._check_solution_finite(x, t=t)
+                times[step] = t
+                states[step] = x
+                prev = x.copy()
         voltages = {}
         for name in names:
             index = self._index(name)

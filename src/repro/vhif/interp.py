@@ -6,6 +6,12 @@ fixed time step, integrators carry state, and the FSMs react to events
 exactly as the paper's process model prescribes (resume on event,
 execute the entire state chain, suspend).
 
+Each block is compiled once, when the :class:`Interpreter` is built,
+into a closure over the value slots of its inputs and its resolved
+parameters; a step runs those closures in dataflow order and walks no
+graph.  The FSMs' event names, the integrator and differentiator lists
+and the probe targets are resolved at the same time.
+
 The interpreter serves two purposes:
 
 * it lets the compiler's output be *executed*, so integration tests can
@@ -18,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -164,6 +172,23 @@ class TraceSet:
         return sorted(self.values)
 
 
+#: kinds whose state cell starts at their ``initial`` parameter
+_HOLDING_KINDS = (BlockKind.INTEGRATE, BlockKind.SAMPLE_HOLD, BlockKind.SWITCH)
+
+
+class _Undriven:
+    """The value of an unconnected input port: reading it as a number
+    raises, just as evaluating that port does."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __float__(self) -> float:
+        raise SimulationError(self.message)
+
+
 class Interpreter:
     """Fixed-step behavioral simulator for a :class:`VhifDesign`."""
 
@@ -179,16 +204,6 @@ class Interpreter:
         self.dt = dt
         self.inputs: Dict[str, InputFunction] = dict(inputs or {})
         self.time = 0.0
-
-        # Per-SFG precomputed evaluation order.
-        self._orders: Dict[str, List[Block]] = {
-            sfg.name: sfg.topological_order() for sfg in design.sfgs
-        }
-        # Block outputs: (sfg name, block id) -> float or bool.
-        self._values: Dict[Tuple[str, int], object] = {}
-        # Integrator state / S&H held values / switch held values.
-        self._state: Dict[Tuple[str, int], float] = {}
-        self._prev_input: Dict[Tuple[str, int], float] = {}
         # Discrete environment: signals, process variables, constants.
         self.env: Dict[str, object] = dict(design.constants)
         # Previous values used for event (edge) detection.
@@ -197,188 +212,284 @@ class Interpreter:
         self._fsm_state: Dict[str, str] = {
             fsm.name: START_STATE for fsm in design.fsms
         }
-        self._initialize()
+        self._compile()
 
-    # -- initialization -----------------------------------------------------
+    # -- compilation ----------------------------------------------------------
 
-    def _initialize(self) -> None:
-        for sfg in self.design.sfgs:
+    def _compile(self) -> None:
+        """Resolve the design into slots and closures, once.
+
+        Every block gets one value slot, in SFG and block order, and a
+        state cell at the same index (integrator, held value,
+        comparator memory, differentiator's previous input).  Each
+        block compiles to a closure over its inputs' slots and its
+        resolved parameters; a step runs them in dataflow order.
+        """
+        design = self.design
+        slots: Dict[Tuple[str, int], int] = {}
+        #: block name -> slot of the first block so named
+        self._probe_slots: Dict[str, int] = {}
+        for sfg in design.sfgs:
             for block in sfg.blocks:
-                key = (sfg.name, block.block_id)
-                if block.kind is BlockKind.INTEGRATE:
-                    self._state[key] = float(block.params.get("initial", 0.0))
-                elif block.kind in (BlockKind.SAMPLE_HOLD, BlockKind.SWITCH):
-                    self._state[key] = float(block.params.get("initial", 0.0))
-                elif block.kind is BlockKind.COMPARATOR:
-                    self._state[key] = 0.0  # hysteresis memory (0/1)
-                self._values[key] = 0.0
+                slot = slots[(sfg.name, block.block_id)] = len(slots)
+                self._probe_slots.setdefault(block.name, slot)
+        # Values are floats, or bools from comparators; a state cell is
+        # None until its block keeps state.
+        self._values: List[Any] = [0.0] * len(slots)
+        self._state: List[Any] = [None] * len(slots)
+        self._program: List[Tuple[int, Callable[[], object]]] = []
+        #: (state slot, rate slot, gain) and (state slot, input slot)
+        self._integrators: List[Tuple[int, int, float]] = []
+        self._differentiators: List[Tuple[int, int]] = []
+        for sfg in design.sfgs:
+            for block in sfg.blocks:
+                slot = slots[(sfg.name, block.block_id)]
+                kind = block.kind
+                if kind in _HOLDING_KINDS:
+                    initial: Any = block.params.get("initial", 0.0)
+                    self._state[slot] = float(initial)
+                elif kind is BlockKind.COMPARATOR:
+                    self._state[slot] = 0.0  # hysteresis memory (0/1)
+                pred = sfg.driver_of(block, 0)
+                if pred is None:
+                    continue
+                source = slots[(sfg.name, pred.block_id)]
+                if kind is BlockKind.INTEGRATE:
+                    self._integrators.append((slot, source, block.gain))
+                elif kind is BlockKind.DIFFERENTIATE:
+                    self._differentiators.append((slot, source))
+            for block in sfg.topological_order():
+                self._program.append((
+                    slots[(sfg.name, block.block_id)],
+                    self._compile_block(sfg, block, slots),
+                ))
         # Signals default to '0' (bit) — the compiler records declared
         # signals in design.constants only when they are real constants.
-        for fsm in self.design.fsms:
+        for fsm in design.fsms:
             for signal in fsm.output_signals():
                 self.env.setdefault(signal, "0")
-        for signal in self.design.external_signals:
+        for signal in design.external_signals:
             self.env.setdefault(signal, "0")
         self._input_block_names = {
-            block.name
-            for sfg in self.design.sfgs
-            for block in sfg.inputs
+            block.name for sfg in design.sfgs for block in sfg.inputs
         }
+        self._event_sources = [
+            (name, slots[source])
+            for name, source in design.event_sources.items()
+        ]
+        # Signal events: the FSM-visible names no 'above event covers.
+        self._signal_events: List[str] = []
+        for fsm in design.fsms:
+            for name in fsm.event_names():
+                if not (
+                    name in design.event_sources
+                    or name.endswith("'above")
+                    or name in self._signal_events
+                ):
+                    self._signal_events.append(name)
+        self._quantity_taps = [
+            (name, slots[source])
+            for name, source in design.quantity_taps.items()
+        ]
 
-    # -- block evaluation -------------------------------------------------------
-
-    def _control_value(self, sfg: SignalFlowGraph, block: Block) -> object:
-        driver = sfg.control_driver_of(block)
-        if driver is not None:
-            return self._values[(sfg.name, driver.block_id)]
-        signal = sfg.control_signal_of(block)
-        if signal is not None:
-            return self.env.get(signal, "0")
-        return "1"  # uncontrolled blocks behave transparently
-
-    def _eval_block(self, sfg: SignalFlowGraph, block: Block) -> object:
-        key = (sfg.name, block.block_id)
+    def _compile_block(
+        self,
+        sfg: SignalFlowGraph,
+        block: Block,
+        slots: Mapping[Tuple[str, int], int],
+    ) -> Callable[[], object]:
+        """The closure computing ``block``'s output for one step."""
+        v = self._values
+        state = self._state
+        own = slots[(sfg.name, block.block_id)]
         kind = block.kind
+        params: Mapping[str, Any] = block.params
 
-        def input_value(port: int) -> float:
-            pred = sfg.driver_of(block, port)
-            if pred is None:
-                raise SimulationError(
-                    f"{sfg.name}: input {port} of {block.describe()} undriven"
-                )
-            return float(self._values[(sfg.name, pred.block_id)])  # type: ignore[arg-type]
+        def port(index: int) -> int:
+            pred = sfg.driver_of(block, index)
+            if pred is not None:
+                return slots[(sfg.name, pred.block_id)]
+            v.append(_Undriven(
+                f"{sfg.name}: input {index} of {block.describe()} undriven"
+            ))
+            return len(v) - 1
+
+        def control() -> Callable[[], object]:
+            driver = sfg.control_driver_of(block)
+            if driver is not None:
+                source = slots[(sfg.name, driver.block_id)]
+                return lambda: v[source]
+            signal = sfg.control_signal_of(block)
+            if signal is not None:
+                return lambda: self.env.get(signal, "0")
+            return lambda: "1"  # uncontrolled blocks behave transparently
 
         if kind is BlockKind.INPUT:
-            fn = self.inputs.get(block.name)
-            if fn is None:
-                return 0.0
-            return float(fn(self.time))
-        if kind is BlockKind.CONST:
-            return float(block.params["value"])  # type: ignore[arg-type]
-        if kind is BlockKind.OUTPUT:
-            return input_value(0)
-        if kind is BlockKind.ADD:
-            return sum(input_value(p) for p in range(block.n_inputs))
-        if kind is BlockKind.SUB:
-            return input_value(0) - input_value(1)
-        if kind is BlockKind.MUL:
-            return input_value(0) * input_value(1)
-        if kind is BlockKind.DIV:
-            denominator = input_value(1)
-            if abs(denominator) < 1e-12:
-                denominator = math.copysign(1e-12, denominator or 1.0)
-            return input_value(0) / denominator
-        if kind is BlockKind.SCALE:
-            return block.gain * input_value(0)
-        if kind is BlockKind.NEG:
-            return -input_value(0)
-        if kind is BlockKind.INTEGRATE:
-            return self._state[key]
-        if kind is BlockKind.DIFFERENTIATE:
-            previous = self._prev_input.get(key, input_value(0))
-            current = input_value(0)
-            return (current - previous) / self.dt
-        if kind is BlockKind.LOG:
-            argument = input_value(0)
-            return math.log(max(argument, 1e-30))
-        if kind is BlockKind.EXP:
-            return math.exp(min(input_value(0), 700.0))
-        if kind is BlockKind.ABS:
-            return abs(input_value(0))
-        if kind is BlockKind.LIMIT:
-            low = float(block.params.get("low", -1.0))
-            high = float(block.params.get("high", 1.0))
-            return min(max(input_value(0), low), high)
-        if kind is BlockKind.SAMPLE_HOLD:
-            if _truthy(self._control_value(sfg, block)):
-                self._state[key] = input_value(0)
-            return self._state[key]
-        if kind is BlockKind.SWITCH:
-            if _truthy(self._control_value(sfg, block)):
-                self._state[key] = input_value(0)
-            return self._state[key]
-        if kind is BlockKind.MUX:
-            select = self._control_value(sfg, block)
-            if isinstance(select, bool) or isinstance(select, str):
-                index = 0 if _truthy(select) else 1
-            else:
-                index = int(select)
-            index = min(max(index, 0), block.n_inputs - 1)
-            return input_value(index)
-        if kind is BlockKind.COMPARATOR:
-            threshold = float(block.params.get("threshold", 0.0))
-            hysteresis = float(block.params.get("hysteresis", 0.0))
-            value = input_value(0)
-            was_high = self._state[key] > 0.5
-            if was_high:
-                high = value > threshold - hysteresis
-            else:
-                high = value > threshold + hysteresis
-            self._state[key] = 1.0 if high else 0.0
-            if block.params.get("invert"):
-                return not high
-            return high
-        if kind is BlockKind.ADC:
-            bits = int(block.params.get("bits", 8))
-            full_scale = float(block.params.get("full_scale", 5.0))
-            if not _truthy(self._control_value(sfg, block)):
-                return self._values[key]
-            value = input_value(0)
-            levels = (1 << bits) - 1
-            code = round(min(max(value / full_scale, 0.0), 1.0) * levels)
-            return code * full_scale / levels
-        if kind is BlockKind.DAC:
-            return input_value(0)
-        if kind is BlockKind.BUFFER:
-            return input_value(0)
-        raise SimulationError(f"cannot evaluate block kind {kind.value!r}")
+            name = block.name
 
-    def _integrate_states(self, sfg: SignalFlowGraph) -> None:
+            def evaluate() -> object:
+                fn = self.inputs.get(name)
+                if fn is None:
+                    return 0.0
+                return float(fn(self.time))
+
+            return evaluate
+        if kind is BlockKind.CONST:
+            value = float(params["value"])
+            return lambda: value
+        if kind in (BlockKind.OUTPUT, BlockKind.DAC, BlockKind.BUFFER):
+            a = port(0)
+            return lambda: float(v[a])
+        if kind is BlockKind.ADD:
+            ports = [port(p) for p in range(block.n_inputs)]
+            return lambda: sum([float(v[p]) for p in ports])
+        if kind is BlockKind.SUB:
+            a, b = port(0), port(1)
+            return lambda: float(v[a]) - float(v[b])
+        if kind is BlockKind.MUL:
+            a, b = port(0), port(1)
+            return lambda: float(v[a]) * float(v[b])
+        if kind is BlockKind.DIV:
+            a, b = port(0), port(1)
+
+            def evaluate() -> object:
+                denominator = float(v[b])
+                if abs(denominator) < 1e-12:
+                    denominator = math.copysign(1e-12, denominator or 1.0)
+                return float(v[a]) / denominator
+
+            return evaluate
+        if kind is BlockKind.SCALE:
+            a, gain = port(0), block.gain
+            return lambda: gain * float(v[a])
+        if kind is BlockKind.NEG:
+            a = port(0)
+            return lambda: -float(v[a])
+        if kind is BlockKind.INTEGRATE:
+            return lambda: state[own]
+        if kind is BlockKind.DIFFERENTIATE:
+            a = port(0)
+
+            def evaluate() -> object:
+                current = float(v[a])
+                previous = state[own]
+                if previous is None:  # first step: no previous input
+                    previous = current
+                return (current - previous) / self.dt
+
+            return evaluate
+        if kind is BlockKind.LOG:
+            a = port(0)
+            return lambda: math.log(max(float(v[a]), 1e-30))
+        if kind is BlockKind.EXP:
+            a = port(0)
+            return lambda: math.exp(min(float(v[a]), 700.0))
+        if kind is BlockKind.ABS:
+            a = port(0)
+            return lambda: abs(float(v[a]))
+        if kind is BlockKind.LIMIT:
+            a = port(0)
+            low = float(params.get("low", -1.0))
+            high = float(params.get("high", 1.0))
+            return lambda: min(max(float(v[a]), low), high)
+        if kind in (BlockKind.SAMPLE_HOLD, BlockKind.SWITCH):
+            a, enabled = port(0), control()
+
+            def evaluate() -> object:
+                if _truthy(enabled()):
+                    state[own] = float(v[a])
+                return state[own]
+
+            return evaluate
+        if kind is BlockKind.MUX:
+            ports = [port(p) for p in range(block.n_inputs)]
+            last, selector = block.n_inputs - 1, control()
+
+            def evaluate() -> object:
+                select = selector()
+                if isinstance(select, bool) or isinstance(select, str):
+                    index = 0 if _truthy(select) else 1
+                else:
+                    index = int(select)  # type: ignore[call-overload]
+                return float(v[ports[min(max(index, 0), last)]])
+
+            return evaluate
+        if kind is BlockKind.COMPARATOR:
+            a = port(0)
+            threshold = float(params.get("threshold", 0.0))
+            hysteresis = float(params.get("hysteresis", 0.0))
+            falling, rising = threshold - hysteresis, threshold + hysteresis
+            invert = bool(params.get("invert"))
+
+            def evaluate() -> object:
+                value = float(v[a])
+                if state[own] > 0.5:
+                    high = value > falling
+                else:
+                    high = value > rising
+                state[own] = 1.0 if high else 0.0
+                if invert:
+                    return not high
+                return high
+
+            return evaluate
+        if kind is BlockKind.ADC:
+            a, enabled = port(0), control()
+            bits = int(params.get("bits", 8))
+            full_scale = float(params.get("full_scale", 5.0))
+            levels = (1 << bits) - 1
+
+            def evaluate() -> object:
+                if not _truthy(enabled()):
+                    return v[own]  # hold the previous conversion
+                value = float(v[a])
+                code = round(min(max(value / full_scale, 0.0), 1.0) * levels)
+                return code * full_scale / levels
+
+            return evaluate
+
+        def unknown() -> object:
+            raise SimulationError(
+                f"cannot evaluate block kind {kind.value!r}"
+            )
+
+        return unknown
+
+    def _integrate_states(self) -> None:
         """Advance integrator states with the current block outputs."""
-        for block in sfg.blocks_of_kind(BlockKind.INTEGRATE):
-            key = (sfg.name, block.block_id)
-            pred = sfg.driver_of(block, 0)
-            if pred is None:
-                continue
-            rate = float(self._values[(sfg.name, pred.block_id)])  # type: ignore[arg-type]
-            self._state[key] += block.gain * rate * self.dt
-        for block in sfg.blocks_of_kind(BlockKind.DIFFERENTIATE):
-            key = (sfg.name, block.block_id)
-            pred = sfg.driver_of(block, 0)
-            if pred is not None:
-                self._prev_input[key] = float(
-                    self._values[(sfg.name, pred.block_id)]  # type: ignore[arg-type]
-                )
+        v, state, dt = self._values, self._state, self.dt
+        for own, source, gain in self._integrators:
+            state[own] += gain * float(v[source]) * dt
+        for own, source in self._differentiators:
+            state[own] = float(v[source])
 
     # -- event detection -----------------------------------------------------------
 
     def _detect_events(self) -> None:
         """Populate ``event:*`` entries of the environment for this step."""
+        v, env = self._values, self.env
         current: Dict[str, object] = {}
         # 'above events from comparator blocks registered as event sources.
-        for event_name, (sfg_name, block_id) in self.design.event_sources.items():
-            current[event_name] = self._values[(sfg_name, block_id)]
+        for event_name, slot in self._event_sources:
+            current[event_name] = v[slot]
             # The FSM data-path may test the level of the 'above expression.
-            self.env[event_name] = self._values[(sfg_name, block_id)]
+            env[event_name] = v[slot]
         # Signal events: value changes of FSM-visible signals.
-        for fsm in self.design.fsms:
-            for name in fsm.event_names():
-                if name in current or name.endswith("'above"):
-                    continue
-                if name in self.env:
-                    current[name] = self.env[name]
+        for name in self._signal_events:
+            if name in env:
+                current[name] = env[name]
         for name, value in current.items():
             if name not in self._prev_event_values:
                 # VHDL semantics: every process executes once at time
                 # zero, so the first observation counts as an event.
-                self.env[f"event:{name}"] = True
+                env[f"event:{name}"] = True
             else:
                 previous = self._prev_event_values[name]
-                self.env[f"event:{name}"] = previous != value
+                env[f"event:{name}"] = previous != value
             self._prev_event_values[name] = value
         # Quantity taps: make continuous values visible to data-paths.
-        for qname, (sfg_name, block_id) in self.design.quantity_taps.items():
-            self.env[qname] = self._values[(sfg_name, block_id)]
+        for qname, slot in self._quantity_taps:
+            env[qname] = v[slot]
 
     # -- FSM execution -----------------------------------------------------------------
 
@@ -436,24 +547,20 @@ class Interpreter:
                 self.env[name] = "1" if value else "0"
             else:
                 self.env[name] = "1" if float(value) > 0.5 else "0"
-        for sfg in self.design.sfgs:
-            for block in self._orders[sfg.name]:
-                self._values[(sfg.name, block.block_id)] = self._eval_block(
-                    sfg, block
-                )
+        values = self._values
+        for slot, evaluate in self._program:
+            values[slot] = evaluate()
         self._detect_events()
         for fsm in self.design.fsms:
             self._run_fsm(fsm)
-        for sfg in self.design.sfgs:
-            self._integrate_states(sfg)
+        self._integrate_states()
         self.time += self.dt
 
     def probe(self, name: str) -> object:
         """Current value of a named block output, port or signal."""
-        for sfg in self.design.sfgs:
-            for block in sfg.blocks:
-                if block.name == name:
-                    return self._values[(sfg.name, block.block_id)]
+        slot = self._probe_slots.get(name)
+        if slot is not None:
+            return self._values[slot]
         if name in self.env:
             return self.env[name]
         raise SimulationError(f"no probe target named {name!r}")

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.estimation import (
     ConstraintSet,
@@ -93,6 +93,10 @@ class TestOpAmpSizing:
         st.floats(min_value=1e5, max_value=2e7),
         st.floats(min_value=1e5, max_value=2e7),
     )
+    # Both edges of the DC-gain margin: a UGF just past the gain-limited
+    # gm1, and one whose gain raise starts with the driver at minimum size.
+    @example(f1=1.0e5, f2=1012856.0)
+    @example(f1=2.25e5, f2=2.31e5)
     @settings(max_examples=30, deadline=None)
     def test_area_monotone_in_ugf(self, f1, f2):
         d1 = design_two_stage(OpAmpSpec(ugf_hz=f1))

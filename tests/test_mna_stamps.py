@@ -437,3 +437,136 @@ class TestAcParity:
         expected = solver._solve_grid(backend, guard, frequencies, G, C, b)
         index = solver._mna._index(out)
         assert np.array_equal(response.voltages[out], expected[:, index])
+
+
+# ---------------------------------------------------------------------------
+# Work the Newton loop no longer repeats
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def assembly_log(monkeypatch):
+    """Every ``StampTable.assemble`` call as ``(rhs, x)``.
+
+    One Newton solve assembles against one right-hand side object, so
+    runs of the same ``rhs`` are the assemblies of one solve (the log
+    keeps every ``rhs`` alive, so none is mistaken for another).
+    """
+    from repro.spice.mna import StampTable
+
+    log = []
+    assemble = StampTable.assemble
+
+    def logged(self, x, linear, rhs):
+        log.append((rhs, x.copy()))
+        return assemble(self, x, linear, rhs)
+
+    monkeypatch.setattr(StampTable, "assemble", logged)
+    return log
+
+
+@pytest.fixture
+def linear_builds(monkeypatch):
+    """The ``(dt, switch state)`` of every linear matrix built."""
+    from repro.spice.mna import StampTable
+
+    keys = []
+    build = StampTable._build_linear
+
+    def logged(self, dt, switch_state):
+        keys.append((dt, tuple(switch_state)))
+        return build(self, dt, switch_state)
+
+    monkeypatch.setattr(StampTable, "_build_linear", logged)
+    return keys
+
+
+def _repeated_assemblies(log):
+    return sum(
+        1
+        for (rhs, x), (next_rhs, next_x) in zip(log, log[1:])
+        if rhs is next_rhs and np.array_equal(x, next_x)
+    )
+
+
+class TestNewtonWork:
+    @pytest.mark.parametrize(
+        "name", ["receiver", "biquad", "squarer", "figure8"]
+    )
+    def test_no_iterate_is_assembled_twice_in_a_row(
+        self, verify_circuits, assembly_log, name
+    ):
+        circuit, t_end, dt = verify_circuits[name]
+        before = metrics().counter("spice.mna.assemblies")
+        MnaSolver(circuit.circuit).transient(t_end, dt)
+        assert assembly_log
+        assert _repeated_assemblies(assembly_log) == 0
+        published = metrics().counter("spice.mna.assemblies") - before
+        assert published == len(assembly_log)
+
+    def test_dc_assembles_each_iterate_once(self, assembly_log):
+        MnaSolver(every_element()).dc_operating_point()
+        assert assembly_log
+        assert _repeated_assemblies(assembly_log) == 0
+
+    def test_transient_builds_each_key_once(
+        self, verify_circuits, linear_builds
+    ):
+        circuit, t_end, dt = verify_circuits["receiver"]
+        MnaSolver(circuit.circuit).transient(t_end, dt)
+        assert 1 <= len(linear_builds) <= 2
+        assert len(set(linear_builds)) == len(linear_builds)
+
+    def test_switching_transient_builds_each_key_once(self, linear_builds):
+        # The control is a sine, so both switches flip many times.
+        MnaSolver(every_element()).transient(2e-3, 1e-5)
+        assert len(set(linear_builds)) == len(linear_builds) > 1
+
+    def test_memo_lasts_one_analysis(self, linear_builds):
+        solver = MnaSolver(every_element())
+        solver.transient(1e-4, 1e-5)
+        first = len(linear_builds)
+        solver.transient(1e-4, 1e-5)
+        assert len(linear_builds) == 2 * first
+        assert not solver.stamps._linear_memo
+
+    def test_dc_flip_back_reuses_the_matrix(self, linear_builds):
+        solver = MnaSolver(every_element())
+        system = _NewtonSystem(solver.stamps, 0.0, None, None, None)
+        ctl = solver._index("ctl")
+        for level in (1.0, -1.0, 1.0, -1.0):
+            x = np.full(solver._size, 0.05)
+            x[ctl] = level
+            A, _ = system(x)
+            A_ref, _ = ladder_assemble(solver, x, 0.0, None, None, None)
+            assert np.array_equal(A, A_ref)
+        assert len(linear_builds) == 2
+
+    def test_memoized_matrix_is_read_only(self):
+        stamps = MnaSolver(every_element()).stamps
+        state = (True, False)
+        matrix = stamps.linear(1e-6, state)
+        assert stamps.linear(1e-6, state) is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        A, _ = stamps.assemble(
+            np.zeros(matrix.shape[0]), matrix, np.zeros(matrix.shape[0])
+        )
+        A[0, 0] = 1.0  # assembly works on a copy
+        assert matrix[0, 0] != 1.0
+
+    def test_exhausted_solves_are_counted(self):
+        solver = MnaSolver(every_element())
+        registry = metrics()
+        before = registry.counter("spice.mna.newton_exhausted")
+        with solver._analysis():
+            solver._newton(
+                np.zeros(solver._size), 0.0, None, None, None, max_iter=1
+            )
+        assert registry.counter("spice.mna.newton_exhausted") == before + 1
+        divider = Circuit("divider")
+        divider.vsource("V1", "in", "0", 1.0)
+        divider.resistor("R1", "in", "out", 1e3)
+        divider.resistor("R2", "out", "0", 1e3)
+        MnaSolver(divider).dc_operating_point()  # converges
+        assert registry.counter("spice.mna.newton_exhausted") == before + 1
