@@ -503,6 +503,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.instrument import metrics, render_prometheus
+    from repro.instrument.metrics import format_table
 
     if args.from_json:
         with open(args.from_json, "r", encoding="utf-8") as handle:
@@ -527,22 +528,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     elif args.json:
         text = json_module.dumps(snapshot, indent=2) + "\n"
     else:
-        registry = metrics()
-        if args.from_json:
-            # Rebuild a table from the snapshot's plain data.
-            lines = []
-            for name, value in snapshot.get("counters", {}).items():
-                lines.append(f"{name:<40} {value:>12g}")
-            for name, value in snapshot.get("gauges", {}).items():
-                lines.append(f"{name:<40} {value:>12g}  (gauge)")
-            for name, hist in snapshot.get("histograms", {}).items():
-                lines.append(
-                    f"{name:<40} {hist.get('count', 0):>12g}  "
-                    f"(mean {hist.get('mean', 0.0):g})"
-                )
-            text = "\n".join(lines) + "\n"
-        else:
-            text = registry.format_table() + "\n"
+        text = format_table(snapshot) + "\n"
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -46,8 +46,6 @@ class CompilerOptions:
     solver_index: int = 0
     #: cap on enumerated causalizations.
     max_solvers: int = 16
-    #: validate the produced VHIF (disable only in targeted tests).
-    validate: bool = True
 
 
 def _port_info(symbol) -> PortInfo:
@@ -346,8 +344,7 @@ class DesignCompiler:
         self._make_outputs()
         self._register_taps_and_constants()
         self._prune_dead_blocks()
-        if self.options.validate:
-            self.vhif.validate()
+        self.vhif.validate()
         return self.vhif
 
     def _prune_dead_blocks(self) -> None:

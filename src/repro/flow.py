@@ -99,23 +99,26 @@ from repro.vhif.design import VhifDesign
 
 @dataclass
 class FlowOptions:
-    """All knobs of the flow in one bag."""
+    """All knobs of the flow in one bag.
+
+    The Figure-1 phases are not knobs: every run compiles and validates
+    the VHIF, realizes simple FSMs as analog controls, runs the VHIF
+    peephole passes, maps, applies the interfacing transformations and
+    estimates.  What can be set is what shapes those phases
+    (``compiler``, ``mapper``, ``constraints``, ``interfacing``) and
+    how the run is executed and observed.
+    """
 
     compiler: CompilerOptions = field(default_factory=CompilerOptions)
     mapper: MapperOptions = field(default_factory=MapperOptions)
     constraints: ConstraintSet = field(default_factory=ConstraintSet)
-    interfacing: Optional[InterfacingOptions] = field(
+    interfacing: InterfacingOptions = field(
         default_factory=InterfacingOptions
     )
-    #: realize simple FSMs as analog comparator hardware before mapping
-    realize_fsm_controls: bool = True
     #: derive constraint defaults from port annotations (the paper's
     #: declarative mechanism: FREQUENCY sets the signal bandwidth,
     #: RANGE / LIMITED set the amplitude the op amps must swing)
     derive_constraints_from_annotations: bool = True
-    #: run the technology-independent peephole passes on the VHIF
-    #: (scale fusion, negation absorption) before mapping
-    optimize_vhif: bool = True
     #: collect a per-phase span trace of this run; the tracer lands on
     #: ``SynthesisResult.trace`` (``vase synth --trace`` renders it).
     #: When tracing is already active process-wide, spans always join
@@ -862,15 +865,11 @@ def _synthesize_staged(
         mapping, map_key = session.mapped(
             design, design_key, constraints, use_greedy
         )
-        netlist = mapping.netlist
-        interfacing_added: List[object] = []
-        upstream_key = map_key
-        if options.interfacing is not None:
-            netlist, interfacing_added, upstream_key = session.interfaced(
-                netlist, design, map_key
-            )
-            mapping = replace(mapping, netlist=netlist)
-        estimate, _ = session.estimated(netlist, constraints, upstream_key)
+        netlist, interfacing_added, interface_key = session.interfaced(
+            mapping.netlist, design, map_key
+        )
+        mapping = replace(mapping, netlist=netlist)
+        estimate, _ = session.estimated(netlist, constraints, interface_key)
     return SynthesisResult(
         design=design,
         netlist=netlist,

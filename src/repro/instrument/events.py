@@ -273,20 +273,16 @@ class JsonlSink:
     event, so the file can be tailed live and tests can read it
     mid-run.  Hot runs publish thousands of events, where a flush (a
     syscall) per event dominates the sink cost; ``flush_every=N``
-    batches the flushes, and ``flush_interval_s`` bounds how stale the
-    file can get regardless of the event rate.  ``flush_every=None``
-    with no interval leaves flushing to the stream's own buffering
-    (everything is flushed on :meth:`close`).
+    batches the flushes (the pending tail is flushed on :meth:`close`).
     """
 
     def __init__(
         self,
         target: Union[str, IO[str]],
-        flush_every: Optional[int] = 1,
-        flush_interval_s: Optional[float] = None,
+        flush_every: int = 1,
     ):
-        if flush_every is not None and flush_every < 1:
-            raise ValueError("flush_every must be >= 1 (or None)")
+        if flush_every < 1:
+            raise ValueError("flush_every must be >= 1")
         self._lock = threading.Lock()
         if isinstance(target, str):
             self._stream: IO[str] = open(target, "w", encoding="utf-8")
@@ -296,11 +292,9 @@ class JsonlSink:
             self._owns = False
         self.written = 0
         self.flush_every = flush_every
-        self.flush_interval_s = flush_interval_s
         #: flush() calls actually issued (tests and benchmarks)
         self.flushes = 0
         self._pending = 0
-        self._last_flush = time.monotonic()
 
     def __call__(self, event: TelemetryEvent) -> None:
         line = event.to_json()
@@ -308,24 +302,13 @@ class JsonlSink:
             self._stream.write(line + "\n")
             self.written += 1
             self._pending += 1
-            if self._should_flush():
+            if self._pending >= self.flush_every:
                 self._flush_locked()
-
-    def _should_flush(self) -> bool:
-        if self.flush_every is not None and self._pending >= self.flush_every:
-            return True
-        if (
-            self.flush_interval_s is not None
-            and time.monotonic() - self._last_flush >= self.flush_interval_s
-        ):
-            return True
-        return False
 
     def _flush_locked(self) -> None:
         self._stream.flush()
         self.flushes += 1
         self._pending = 0
-        self._last_flush = time.monotonic()
 
     def close(self) -> None:
         with self._lock:

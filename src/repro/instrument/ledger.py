@@ -237,9 +237,7 @@ def options_digest(options) -> str:
         options.mapper,
         options.constraints,
         options.interfacing,
-        options.realize_fsm_controls,
         options.derive_constraints_from_annotations,
-        options.optimize_vhif,
         options.recovery,
         options.explore_solvers,
     )[:16]
@@ -381,7 +379,10 @@ def record_for_batch(
 
 
 def percentile(values: List[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (``q`` in [0, 1])."""
+    """Nearest-rank percentile of ``values`` (``q`` in [0, 1]).
+
+    The one implementation: metric histograms take their p50/p95 from
+    it too."""
     if not values:
         return 0.0
     ordered = sorted(values)

@@ -17,17 +17,24 @@ guarded by an ``enabled`` flag — so publishing from a hot loop is
 cheap (and safe from the pipeline's worker threads), and
 :func:`MetricsRegistry.disable` turns every publish into one attribute
 test.  Use ``metrics()`` for the process-wide instance; tests create
-private registries.
+private registries.  A task on a ``process`` executor counts into its
+worker's registry; the executor folds the task's counter delta into
+the submitting process's registry, so counters read the same on every
+backend (histograms and gauges stay per process).
+
+:func:`format_table` renders any snapshot — a live registry's or one
+loaded from JSON — as the CLI's text table.  Histogram quantiles use
+the run ledger's nearest-rank :func:`~repro.instrument.ledger.percentile`.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import threading
 from typing import Dict, Optional
 
 from repro.instrument.events import CATEGORY_METRIC, active_bus
+from repro.instrument.ledger import percentile
 
 #: reservoir size per histogram — enough for stable p50/p95 at the
 #: observation counts the flow produces, small enough to stay cheap
@@ -74,13 +81,7 @@ class Histogram:
 
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile estimate from the reservoir."""
-        if not self._reservoir:
-            return 0.0
-        ordered = sorted(self._reservoir)
-        index = min(
-            len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1)
-        )
-        return ordered[index]
+        return percentile(self._reservoir, q)
 
     def snapshot(self) -> Dict[str, float]:
         if not self.count:
@@ -99,8 +100,8 @@ class Histogram:
 class MetricsRegistry:
     """Named counters, gauges and histograms for one process (or test)."""
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
+        self.enabled = True
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -174,6 +175,11 @@ class MetricsRegistry:
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)
 
+    def counters(self) -> Dict[str, float]:
+        """A copy of every counter (cheaper than :meth:`snapshot`)."""
+        with self._lock:
+            return dict(self._counters)
+
     def gauge_value(self, name: str) -> Optional[float]:
         return self._gauges.get(name)
 
@@ -193,19 +199,23 @@ class MetricsRegistry:
 
     def format_table(self) -> str:
         """Aligned text table of all metrics (for CLI output)."""
-        lines = []
-        for name, value in sorted(self._counters.items()):
-            lines.append(f"{name:<40} {value:>12g}")
-        for name, value in sorted(self._gauges.items()):
-            lines.append(f"{name:<40} {value:>12g}  (gauge)")
-        for name, histogram in sorted(self._histograms.items()):
-            snap = histogram.snapshot()
-            lines.append(
-                f"{name:<40} {snap['count']:>12g}  "
-                f"(mean {snap['mean']:g}, min {snap['min']:g}, "
-                f"max {snap['max']:g})"
-            )
-        return "\n".join(lines)
+        return format_table(self.snapshot())
+
+
+def format_table(snapshot: Dict[str, Dict[str, object]]) -> str:
+    """Aligned text table of a :meth:`MetricsRegistry.snapshot`."""
+    lines = []
+    for name, value in sorted(snapshot.get("counters", {}).items()):
+        lines.append(f"{name:<40} {value:>12g}")
+    for name, value in sorted(snapshot.get("gauges", {}).items()):
+        lines.append(f"{name:<40} {value:>12g}  (gauge)")
+    for name, hist in sorted(snapshot.get("histograms", {}).items()):
+        lines.append(
+            f"{name:<40} {hist['count']:>12g}  "
+            f"(mean {hist['mean']:g}, min {hist['min']:g}, "
+            f"max {hist['max']:g})"
+        )
+    return "\n".join(lines)
 
 
 #: The process-wide registry the flow publishes into.

@@ -92,13 +92,12 @@ class _LiveSpan:
 class Tracer:
     """Collects a tree of timed spans."""
 
-    def __init__(self, clock=time.perf_counter):
-        self._clock = clock
+    def __init__(self):
         self.roots: List[Span] = []
         self._stack: List[Span] = []
 
     def span(self, name: str, **attrs) -> _LiveSpan:
-        span = Span(name=name, start_s=self._clock(), attrs=dict(attrs))
+        span = Span(name=name, start_s=time.perf_counter(), attrs=dict(attrs))
         if self._stack:
             self._stack[-1].children.append(span)
         else:
@@ -113,7 +112,7 @@ class Tracer:
         return _LiveSpan(self, span)
 
     def _close(self, span: Span) -> None:
-        now = self._clock()
+        now = time.perf_counter()
         # An exception may have skipped inner __exit__ calls; close any
         # dangling children so the tree stays consistent.
         while self._stack and self._stack[-1] is not span:

@@ -27,8 +27,9 @@ speedup.  This module makes the executor a first-class choice:
     its own), and an :class:`~repro.pipeline.cache.ArtifactCache`
     arrives as the worker's per-process cache over the same on-disk
     tier — the shared store across workers.  Each ``done`` message
-    carries the worker caches' counter delta for the task, folded into
-    the submitting side's cache before the future resolves.  Telemetry
+    carries the worker caches' counter delta for the task and the
+    task's metric-counter delta, folded into the submitting side's
+    cache and metrics registry before the future resolves.  Telemetry
     events published inside a worker are forwarded over the result
     channel and re-published onto the submitting run's bus, so per-run
     seqs stay dense no matter where the event originated.
@@ -52,8 +53,6 @@ exhausted — or a per-task circuit breaker trips after consecutive
 crashes of the same task, so a poisoned input cannot crash-loop the
 pool — the task fails with a
 :class:`~repro.robust.lifecycle.WorkerCrashError` — never a hang.
-An optional ``task_timeout_s`` terminates workers stuck on one task
-(timeouts are not retried: a stuck task would stick again).
 
 Cancellation: each backend participates in the run-lifecycle layer
 (:mod:`repro.robust.lifecycle`).  ``serial`` runs inline under the
@@ -84,6 +83,7 @@ from multiprocessing import connection, get_context
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.diagnostics import VaseError
+from repro.instrument.metrics import metrics
 
 #: The executor kinds ``ParallelOptions.executor`` accepts.
 EXECUTOR_KINDS = ("serial", "thread", "process")
@@ -95,7 +95,7 @@ _PILL = None
 #: before terminating it.
 _JOIN_TIMEOUT_S = 5.0
 
-#: Bridge-thread poll interval (crash/timeout detection granularity).
+#: Bridge-thread poll interval (retry-backoff granularity).
 _POLL_S = 0.2
 
 
@@ -115,8 +115,6 @@ class ParallelOptions:
     executor: str = "serial"
     #: worker count (pool width; ignored by ``serial``)
     workers: int = 1
-    #: fail a ``process`` task stuck longer than this (``None``: never)
-    task_timeout_s: Optional[float] = None
 
     def __post_init__(self):
         if self.executor not in EXECUTOR_KINDS:
@@ -126,15 +124,12 @@ class ParallelOptions:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive (or None)")
 
     def bounded(self, n_tasks: int) -> "ParallelOptions":
         """A copy whose width never exceeds the task count."""
         return ParallelOptions(
             executor=self.executor,
             workers=max(1, min(self.workers, n_tasks)),
-            task_timeout_s=self.task_timeout_s,
         )
 
     def describe(self) -> str:
@@ -303,8 +298,9 @@ def _worker_main(conn) -> None:
     requests, or the poison pill (``None``) meaning exit.  Replies are
     ``("event", task_id, category, payload)`` — telemetry forwarded
     live while the task runs — and one terminal ``("done", task_id,
-    ok, value, cache_delta)``, where ``cache_delta`` is what this
-    process's worker caches counted during the task.  All sends happen
+    ok, value, cache_delta, counted)``, where ``cache_delta`` is what
+    this process's worker caches counted during the task and
+    ``counted`` what its metric counters counted.  All sends happen
     from the main thread, in order, so the parent always sees a task's
     events before its result.
 
@@ -388,7 +384,7 @@ def _worker_main(conn) -> None:
                 CancelledError(
                     "task cancelled before it started on the worker"
                 )
-            ), {}))
+            ), {}, {}))
             continue
 
         def forward_event(event, _tid=task_id):
@@ -410,6 +406,7 @@ def _worker_main(conn) -> None:
             current["id"] = task_id
             current["token"] = token
         before = worker_stats()
+        counters_before = metrics().counters()
         ok = True
         try:
             if "executor.transient" in faults and attempt == 0:
@@ -435,8 +432,13 @@ def _worker_main(conn) -> None:
                 current["id"] = None
                 current["token"] = None
         delta = stats_delta(before, worker_stats())
+        counted = {
+            name: total - counters_before.get(name, 0)
+            for name, total in metrics().counters().items()
+            if total != counters_before.get(name, 0)
+        }
         try:
-            conn.send(("done", task_id, ok, value, delta))
+            conn.send(("done", task_id, ok, value, delta, counted))
         except Exception as err:  # noqa: BLE001 - unpicklable result
             conn.send((
                 "done", task_id, False,
@@ -444,6 +446,7 @@ def _worker_main(conn) -> None:
                     f"task result is not picklable: {err!r}"
                 )),
                 delta,
+                counted,
             ))
     conn.close()
 
@@ -492,9 +495,6 @@ class _Pending:
     attempt: int = 0
     #: earliest monotonic time the next attempt may dispatch
     not_before: float = 0.0
-    #: the parent terminated this task's worker for exceeding
-    #: ``task_timeout_s`` (timeouts are never retried)
-    timed_out: bool = False
     #: a cooperative cancel was requested for this task
     cancel_requested: bool = False
 
@@ -514,7 +514,6 @@ class _WorkerHandle:
         self.process.start()
         child_conn.close()  # parent keeps only its end
         self.busy: Optional[_Pending] = None
-        self.busy_since: float = 0.0
 
 
 class ProcessExecutor(Executor):
@@ -524,13 +523,15 @@ class ProcessExecutor(Executor):
     tasks to idle workers, multiplexes result pipes with
     :func:`multiprocessing.connection.wait`, re-publishes forwarded
     telemetry onto the parent's active bus, resolves futures, detects
-    crashed workers by pipe EOF (failing their in-flight task with a
-    :class:`VaseError` and spawning a replacement) and enforces the
-    optional per-task timeout.
+    crashed workers by pipe EOF (retrying or failing their in-flight
+    task and spawning a replacement).
 
     ``cache`` is the submitting side's artifact cache: each task's
     worker-cache counter delta is folded into its stats before the
-    task's future resolves.
+    task's future resolves.  The task's metric-counter delta is folded
+    into this process's :func:`~repro.instrument.metrics.metrics`
+    registry at the same point, so a task counts the same on every
+    backend.
     """
 
     kind = "process"
@@ -538,18 +539,15 @@ class ProcessExecutor(Executor):
     def __init__(
         self,
         workers: int,
-        task_timeout_s: Optional[float] = None,
-        start_method: str = "spawn",
         retry: Optional["RetryPolicy"] = None,
         cache: Optional["ArtifactCache"] = None,
     ):
         from repro.robust.lifecycle import RetryPolicy
 
         super().__init__(workers=workers)
-        self.task_timeout_s = task_timeout_s
         self._cache = cache
         self._retry = retry if retry is not None else RetryPolicy()
-        self._ctx = get_context(start_method)
+        self._ctx = get_context("spawn")
         self._lock = threading.Lock()
         self._queue: Deque[_Pending] = deque()
         #: retried tasks waiting out their backoff delay
@@ -628,8 +626,6 @@ class ProcessExecutor(Executor):
                         pass
                     continue
                 self._drain_worker(conn)
-            if self.task_timeout_s is not None:
-                self._enforce_timeout(time.monotonic())
 
     def _promote_due_locked(self, now: float) -> None:
         """Move retries whose backoff elapsed back into the queue."""
@@ -675,7 +671,6 @@ class ProcessExecutor(Executor):
                     self._idle.notify_all()
                     continue
                 handle.busy = pending
-                handle.busy_since = time.monotonic()
                 break
 
     def _drain_worker(self, conn) -> None:
@@ -696,9 +691,14 @@ class ProcessExecutor(Executor):
             self._republish(handle, category, payload)
             return
         if kind == "done":
-            _mkind, _tid, ok, value, delta = message
+            _mkind, _tid, ok, value, delta, counted = message
             if self._cache is not None:
                 self._cache.stats.apply_delta(delta)
+            registry = metrics()
+            for name, amount in counted.items():
+                # The worker published these deltas as metric events,
+                # already forwarded; count them without re-emitting.
+                registry.inc(name, amount, publish=False)
             with self._lock:
                 pending, handle.busy = handle.busy, None
                 if pending is not None and ok:
@@ -750,12 +750,6 @@ class ProcessExecutor(Executor):
         handle.process.join(timeout=0.5)
         if pending is None:
             return
-        if pending.timed_out:
-            pending.future.set_exception(VaseError(
-                f"pipeline worker timed out after "
-                f"{self.task_timeout_s}s and was terminated"
-            ))
-            return
         if pending.cancel_requested:
             pending.future.set_exception(CancelledError(
                 "task cancelled; its worker exited before confirming"
@@ -777,14 +771,14 @@ class ProcessExecutor(Executor):
 
         Returns False when the task must fail for real: the error is
         not transient, retries are exhausted, the task's circuit
-        breaker tripped, or the task was cancelled/timed out.  Worker
+        breaker tripped, or the task was cancelled.  Worker
         crashes count toward the breaker; in-band transient errors do
         not (the worker survived them).
         """
         from repro.instrument.events import CATEGORY_RETRY, active_bus
         from repro.robust.lifecycle import is_transient
 
-        if pending.cancel_requested or pending.timed_out:
+        if pending.cancel_requested:
             return False
         if not crashed and not is_transient(error):
             return False
@@ -851,21 +845,6 @@ class ProcessExecutor(Executor):
             "task cancelled while awaiting its retry backoff"
         ))
         return True
-
-    def _enforce_timeout(self, now: float) -> None:
-        stale: List[_WorkerHandle] = []
-        with self._lock:
-            for handle in self._handles:
-                if (
-                    handle.busy is not None
-                    and now - handle.busy_since > self.task_timeout_s
-                ):
-                    handle.busy.timed_out = True
-                    stale.append(handle)
-        for handle in stale:
-            handle.process.terminate()
-            # EOF on the pipe then routes through _worker_died, which
-            # fails the future and spawns the replacement.
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -941,10 +920,7 @@ def create_executor(
     """
     options = options or ParallelOptions()
     if options.executor == "process":
-        return ProcessExecutor(
-            options.workers, task_timeout_s=options.task_timeout_s,
-            cache=cache,
-        )
+        return ProcessExecutor(options.workers, cache=cache)
     if options.executor == "thread" and options.workers > 1:
         return ThreadExecutor(options.workers)
     return SerialExecutor()

@@ -19,7 +19,8 @@ content-addressed key:
     ``solver_index`` is a distinct artifact).
 ``realize_fsm`` / ``optimize_vhif``
     VHIF → VHIF with analog control realizations / after the peephole
-    passes.  Keys chain on the upstream key.
+    passes.  Keys chain on the upstream key.  Both always run: the
+    stages are the Figure-1 phases, not options.
 ``map``
     VHIF → :class:`~repro.synth.MappingResult`.  Key: upstream key +
     mapper options + the *actual* constraint set (derived values
@@ -216,53 +217,37 @@ class PipelineSession:
 
         return self._run(COMPILE, self.compile_key(solver_index), compute)
 
-    def prepared_key(self, solver_index: Optional[int] = None) -> str:
-        """Key of the mapping-ready VHIF artifact (the full chain)."""
-        digest = self.compile_key(solver_index)
-        if self.options.realize_fsm_controls:
-            digest = REALIZE_FSM.key(digest)
-        if self.options.optimize_vhif:
-            digest = OPTIMIZE.key(digest)
-        return digest
-
     def prepared(
         self, solver_index: Optional[int] = None
     ) -> Tuple[object, List[object], str]:
         """The mapping-ready design: ``(design, realized_controls, key)``.
 
-        Runs the compile stage, then — as enabled by the options — the
-        FSM-realization and VHIF-optimization stages, each consuming
-        the previous artifact.
+        Runs the compile stage, then the FSM-realization and
+        VHIF-optimization stages, each consuming the previous artifact.
         """
         from repro.synth.fsm_mapping import realize_event_controls
         from repro.vhif.optimize import optimize_design
 
-        design = self.compiled(solver_index)
-        digest = self.compile_key(solver_index)
-        realized: List[object] = []
-        if self.options.realize_fsm_controls:
-            digest = REALIZE_FSM.key(digest)
-            upstream = design
+        compiled = self.compiled(solver_index)
+        realize_key = REALIZE_FSM.key(self.compile_key(solver_index))
 
-            def compute_realize():
-                rewritten = upstream.copy()
-                return (rewritten, realize_event_controls(rewritten))
+        def compute_realize():
+            rewritten = compiled.copy()
+            return (rewritten, realize_event_controls(rewritten))
 
-            design, realized = self._run(
-                REALIZE_FSM, digest, compute_realize,
-                annotate=lambda v: {"realized": len(v[1])},
-            )
-        if self.options.optimize_vhif:
-            digest = OPTIMIZE.key(digest)
-            unoptimized, riding = design, realized
+        realized_design, realized = self._run(
+            REALIZE_FSM, realize_key, compute_realize,
+            annotate=lambda v: {"realized": len(v[1])},
+        )
+        optimize_key = OPTIMIZE.key(realize_key)
 
-            def compute_optimize():
-                rewritten = unoptimized.copy()
-                optimize_design(rewritten)
-                return (rewritten, riding)
+        def compute_optimize():
+            rewritten = realized_design.copy()
+            optimize_design(rewritten)
+            return (rewritten, realized)
 
-            design, realized = self._run(OPTIMIZE, digest, compute_optimize)
-        return design, realized, digest
+        design, realized = self._run(OPTIMIZE, optimize_key, compute_optimize)
+        return design, realized, optimize_key
 
     # -- map / interface / estimate ----------------------------------------
 

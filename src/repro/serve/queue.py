@@ -377,8 +377,6 @@ class JobManager:
         library=None,
         workers: int = 2,
         queue_limit: int = 64,
-        event_capacity: int = DEFAULT_EVENT_CAPACITY,
-        max_jobs: int = DEFAULT_MAX_JOBS,
         execution: Optional[ParallelOptions] = None,
     ):
         """``execution`` selects the resident backend jobs run on:
@@ -393,8 +391,6 @@ class JobManager:
         self.options = options
         self.library = library
         self.queue_limit = queue_limit
-        self.event_capacity = event_capacity
-        self.max_jobs = max_jobs
         self.execution = execution or ParallelOptions(
             executor="thread", workers=workers,
         )
@@ -404,10 +400,7 @@ class JobManager:
         )
         self._pool = ThreadExecutor(width)
         self._runner = (
-            ProcessExecutor(
-                width, task_timeout_s=self.execution.task_timeout_s,
-                cache=options.cache,
-            )
+            ProcessExecutor(width, cache=options.cache)
             if self.execution.executor == "process" else SerialExecutor()
         )
         self._lock = threading.Lock()
@@ -454,7 +447,7 @@ class JobManager:
             entity=entity,
             options=job_options,
             created_ts=time.time(),
-            events=JobEventLog(self.event_capacity),
+            events=JobEventLog(),
         )
         with self._lock:
             if self._closed:
@@ -484,8 +477,9 @@ class JobManager:
         return job
 
     def _prune_locked(self) -> None:
-        """Drop the oldest terminal jobs once ``max_jobs`` is exceeded."""
-        overflow = len(self._jobs) + 1 - self.max_jobs
+        """Drop the oldest terminal jobs once :data:`DEFAULT_MAX_JOBS`
+        is exceeded."""
+        overflow = len(self._jobs) + 1 - DEFAULT_MAX_JOBS
         if overflow <= 0:
             return
         for job_id in [

@@ -62,6 +62,10 @@ from repro.spice.linalg import (
 
 GROUND_NAMES = ("0", "gnd", "ground")
 
+#: conductance (S) from every node to ground; keeps floating nodes
+#: (an op-amp input driven only through a capacitor) solvable
+GMIN = 1e-12
+
 Waveform = Callable[[float], float]
 
 
@@ -403,7 +407,6 @@ class StampTable:
         index: Callable[[str], int],
         n_nodes: int,
         size: int,
-        gmin: float,
     ):
         self._size = size
         #: flat matrix position and constant value of every linear term
@@ -450,7 +453,7 @@ class StampTable:
             term(k, j, -1.0)
 
         for i in range(n_nodes):
-            term(i, i, gmin)
+            term(i, i, GMIN)
         for element in circuit.elements:
             if isinstance(element, Resistor):
                 i, j = index(element.n1), index(element.n2)
@@ -702,9 +705,11 @@ class TransientResult:
 class MnaSolver:
     """Assembles and solves the MNA system of a :class:`Circuit`."""
 
-    def __init__(self, circuit: Circuit, gmin: float = 1e-12):
+    #: the node-to-ground conductance every assembly stamps
+    gmin = GMIN
+
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.gmin = gmin
         self._n = circuit.n_nodes()
         # Assign branch currents to every voltage-defining element.
         self._branches = 0
@@ -737,7 +742,7 @@ class MnaSolver:
         #: Newton solves that hit ``max_iter``, over this solver's life
         self._exhausted = 0
         self.stamps = StampTable(
-            circuit, self._index, self._n, self._size, gmin
+            circuit, self._index, self._n, self._size
         )
 
     # -- helpers -----------------------------------------------------------------
@@ -875,9 +880,8 @@ class MnaSolver:
         t_end: float,
         dt: float,
         probes: Optional[Sequence[str]] = None,
-        x0: Optional[np.ndarray] = None,
     ) -> TransientResult:
-        """Backward-Euler transient from t=0 (or from ``x0``)."""
+        """Backward-Euler transient from t=0."""
         if dt <= 0 or t_end <= 0:
             raise SimulationError("dt and t_end must be positive")
         names = probes if probes is not None else self.circuit.node_names
@@ -892,17 +896,14 @@ class MnaSolver:
         self._guard.reset()
         times = np.empty(n_steps)
         states = np.empty((n_steps, self._size))
-        if x0 is not None:
-            x = x0.copy()
-        else:
-            x = np.zeros(self._size)
-            # Seed node voltages from capacitor initial conditions.
-            for element, i, j in self.stamps.capacitors:
-                if element.ic != 0.0:
-                    if i >= 0 and j < 0:
-                        x[i] = element.ic
-                    elif j >= 0 and i < 0:
-                        x[j] = -element.ic
+        x = np.zeros(self._size)
+        # Seed node voltages from capacitor initial conditions.
+        for element, i, j in self.stamps.capacitors:
+            if element.ic != 0.0:
+                if i >= 0 and j < 0:
+                    x[i] = element.ic
+                elif j >= 0 and i < 0:
+                    x[j] = -element.ic
         prev = x.copy()
         with self._analysis():
             for step in range(n_steps):

@@ -2,7 +2,6 @@
 
 import io
 import json
-import time
 
 import pytest
 
@@ -277,17 +276,6 @@ class TestJsonlSinkFlushPolicy:
         assert sink.flushes == 2  # after events 3 and 6
         sink.close()  # the pending 7th event flushes on close
         assert sink.flushes == 3
-
-    def test_interval_flush(self):
-        sink = JsonlSink(
-            io.StringIO(), flush_every=None, flush_interval_s=0.05
-        )
-        sink(self._event(0))
-        assert sink.flushes == 0
-        time.sleep(0.06)
-        sink(self._event(1))
-        assert sink.flushes == 1
-        sink.close()
 
     def test_unflushed_lines_still_written_on_close(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -53,14 +53,6 @@ class TestFlow:
         (start,) = log.of_kind("search_start")
         assert start["sequencing"] == "arbitrary"
 
-    def test_fsm_realization_can_be_disabled(self):
-        source = SOURCE.replace("-5.0", "-2.0")
-        on = synthesize(source, options=FlowOptions())
-        off = synthesize(
-            source, options=FlowOptions(realize_fsm_controls=False)
-        )
-        assert on.netlist.total_opamps() == off.netlist.total_opamps()
-
 
 class TestCli:
     def test_compile_bundled_app(self, capsys):

@@ -194,6 +194,23 @@ class TestMetricsRegistry:
         assert "some.counter" in table
         assert "some.histogram" in table
 
+    def test_from_json_table_matches_the_live_table(
+        self, tmp_path, capsys
+    ):
+        """``vase metrics --from-json`` and the live registry render
+        one snapshot through the same function, min/max included."""
+        registry = MetricsRegistry()
+        registry.inc("some.counter", 3)
+        registry.gauge("some.gauge", 1.5)
+        registry.observe("some.histogram", 2.0)
+        registry.observe("some.histogram", 0.25)
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(registry.snapshot()))
+        assert main(["metrics", "--from-json", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert printed == registry.format_table() + "\n"
+        assert "min 0.25, max 2" in printed
+
 
 class TestHistogramReservoir:
     def test_snapshot_reports_p50_and_p95(self):
