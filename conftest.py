@@ -385,6 +385,75 @@ def walking_interpreter():
     return WalkingInterpreter
 
 
+@pytest.fixture
+def unpredicted_transient():
+    """The reference solver the predicted-start tests compare to.
+
+    An :class:`~repro.spice.mna.MnaSolver` whose transient starts every
+    step's Newton solve from the previous step's solution, the way it
+    did before starts were extrapolated: step 1 from the initial state,
+    every later step from the last accepted solution.  DC and AC solves
+    are unchanged.
+    """
+    from repro.spice.mna import MnaSolver
+
+    class UnpredictedSolver(MnaSolver):
+        def _newton(self, x0, t, dt, prev, switch_controls, **kwargs):
+            # In a transient step, ``prev`` is the last accepted
+            # solution (the initial state at step 1).
+            if dt is not None:
+                x0 = prev
+            return super()._newton(
+                x0, t, dt, prev, switch_controls, **kwargs
+            )
+
+    return UnpredictedSolver
+
+
+_SQUARER_SOURCE = """
+ENTITY squarer IS
+PORT (QUANTITY u : IN real; QUANTITY y : OUT real);
+END ENTITY;
+ARCHITECTURE a OF squarer IS
+BEGIN
+  y == 0.5 * u * u + 0.1;
+END ARCHITECTURE;
+"""
+
+
+@pytest.fixture(scope="session")
+def verification_inputs():
+    """The four ``verify_transient`` benchmark inputs, elaborated.
+
+    A builder: ``verification_inputs(fraction)`` returns ``{name:
+    (circuit, t_end, dt)}`` for the receiver, biquad, squarer and
+    Figure-8 transients, each cut to ``fraction`` of its benchmark
+    length.
+    """
+    from repro.apps import biquad_filter, receiver
+    from repro.flow import synthesize
+    from repro.spice import elaborate, sin_wave
+
+    def build(fraction=1.0):
+        squarer = synthesize(_SQUARER_SOURCE).netlist
+        receiver_netlist = synthesize(receiver.VASS_SOURCE).netlist
+        biquad = synthesize(biquad_filter.VASS_SOURCE).netlist
+        line = {"line": sin_wave(0.8, 1e3), "local": lambda t: 0.1}
+        figure8 = {"line": sin_wave(1.0, 1e3), "local": lambda t: 0.1}
+        return {
+            "receiver": (elaborate(receiver_netlist, input_waves=line),
+                         fraction * 2e-3, 2e-6),
+            "biquad": (elaborate(biquad, input_waves={
+                "vin": sin_wave(0.5, 200.0)}), fraction * 10e-3, 5e-6),
+            "squarer": (elaborate(squarer, input_waves={
+                "u": sin_wave(0.8, 1e3)}), fraction * 2e-3, 2e-6),
+            "figure8": (elaborate(receiver_netlist, input_waves=figure8),
+                        fraction * 2e-3, 2e-6),
+        }
+
+    return build
+
+
 class _BoundedLog:
     """Session-wide recorder that trims its in-memory buffer.
 

@@ -134,7 +134,6 @@ class AcSolver:
         the dense per-point loop — which reproduces the located error
         (and per-point counters) exactly.
         """
-        registry = metrics()
         omegas = 2.0 * math.pi * frequencies
         if isinstance(backend, BatchedSolver):
             A_stack = (
@@ -146,10 +145,10 @@ class AcSolver:
             try:
                 solutions = backend.solve_grid(A_stack, b)
             except np.linalg.LinAlgError:
-                registry.inc("spice.linalg.batched_fallbacks")
+                metrics().inc("spice.linalg.batched_fallbacks")
                 backend = DenseSolver()
             else:
-                registry.inc("spice.mna.factorizations", len(frequencies))
+                guard.factorizations += len(frequencies)
                 guard.check_condition(A_stack[0])
                 return solutions
         solutions = np.empty((len(frequencies), self._size), dtype=complex)
@@ -203,9 +202,14 @@ class AcSolver:
                 fault_site="spice.ac.singular",
                 condition_text="the response may be numerically meaningless",
             )
-            solutions = self._solve_grid(
-                backend, guard, frequencies, G, C, b
-            )
+            try:
+                solutions = self._solve_grid(
+                    backend, guard, frequencies, G, C, b
+                )
+            finally:
+                registry.inc(
+                    "spice.mna.factorizations", guard.factorizations
+                )
             for i, f in enumerate(frequencies):
                 bad = check_finite(solutions[i], self._mna.unknown_labels)
                 if bad is not None:

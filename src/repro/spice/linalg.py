@@ -26,9 +26,10 @@ The guards live at this boundary, in :class:`AnalysisGuard`, instead of
 being duplicated per call site: fault-injection row-zeroing, the
 singular error message (both assembled by ``repro.robust.guards``
 helpers), the once-per-analysis condition estimate, and the
-factorization counters.  ``spice.mna.factorizations`` counts successful
-factorizations only; failures land on
-``spice.mna.factorization_failures``.
+factorization counts.  The guard counts successful factorizations, and
+the engine publishes that count on ``spice.mna.factorizations`` once
+per analysis, when the analysis ends; each failure lands on
+``spice.mna.factorization_failures`` at once.
 
 Backend selection is the code's, not the caller's: each analysis asks
 :func:`resolve_backend` with its unknown count and grid size, which
@@ -169,10 +170,12 @@ class AnalysisGuard:
 
     Owns what the engines used to duplicate around each inline solve:
     the fault-injection site, the singular error (with suspect naming
-    and a location clause), and the once-per-analysis condition
-    estimate.  One guard instance spans one analysis (a DC solve, a
-    transient, an AC sweep); :meth:`reset` rearms the condition check
-    for the next analysis on the same solver.
+    and a location clause), the once-per-analysis condition estimate,
+    and the count of successful factorizations, which the engine
+    publishes when its analysis ends.  One guard instance spans one
+    analysis (a DC solve, a transient, an AC sweep); :meth:`reset`
+    rearms the condition check for the next analysis on the same
+    solver.
     """
 
     def __init__(
@@ -189,6 +192,8 @@ class AnalysisGuard:
         self.fault_site = fault_site
         self.condition_text = condition_text
         self.condition_checked = False
+        #: successful factorizations over the guard's life
+        self.factorizations = 0
 
     def reset(self) -> None:
         self.condition_checked = False
@@ -234,17 +239,16 @@ def guarded_solve(
 ) -> np.ndarray:
     """One guarded point solve: the engines' shared factorization path.
 
-    Counts ``spice.mna.factorizations`` on success only (a failed
-    factorization lands on ``spice.mna.factorization_failures``), then
-    runs the guard's once-per-analysis condition estimate.
+    Counts a success on the guard (a failed factorization lands on
+    ``spice.mna.factorization_failures`` at once), then runs the
+    guard's once-per-analysis condition estimate.
     """
     A = guard.inject_fault(A)
-    registry = metrics()
     try:
         x = backend.solve(A, b)
     except np.linalg.LinAlgError as err:
-        registry.inc("spice.mna.factorization_failures")
+        metrics().inc("spice.mna.factorization_failures")
         raise guard.singular_error(A, err, where=where)
-    registry.inc("spice.mna.factorizations")
+    guard.factorizations += 1
     guard.check_condition(A)
     return x

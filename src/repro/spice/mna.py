@@ -14,7 +14,11 @@ Engine features:
 * DC operating point by Newton-Raphson;
 * transient analysis by backward-Euler companion models with Newton
   iteration per step (A-stable, no ringing on the switching edges the
-  synthesized circuits produce).
+  synthesized circuits produce).  Each step's Newton solve starts from
+  the solution extrapolated linearly from the last two accepted ones,
+  so a smooth waveform usually converges in one or two factorizations;
+  a circuit with a Schmitt trigger starts from the previous solution,
+  which keeps the trigger on its branch.
 
 Every solver compiles its circuit into a :class:`StampTable` once,
 resolving node names to matrix indices at that point.  The table splits
@@ -32,7 +36,8 @@ DC, transient and AC (:mod:`repro.spice.ac`) all assemble through this
 one table.
 
 Every analysis (a DC solve, a transient, an AC bias point) publishes
-its Newton counters once, when it ends: ``spice.mna.assemblies`` and
+its Newton counters once, when it ends, even when it raises:
+``spice.mna.assemblies``, ``spice.mna.factorizations`` and
 ``spice.mna.newton_exhausted``, the solves that hit ``max_iter`` and
 returned their best-effort iterate.
 
@@ -207,11 +212,13 @@ class SaturatingVcvs(_Element):
         return self.vmax * math.tanh(self.gain * vc / self.vmax)
 
     def derivative(self, vc: float) -> float:
+        """The slope ``gain * sech²``, its magnitude floored at 1e-9 so
+        a saturated stage keeps a nonzero Jacobian entry of its sign."""
         x = self.gain * vc / self.vmax
         if abs(x) > 40.0:
-            return 1e-9
+            return math.copysign(1e-9, self.gain)
         sech2 = 1.0 / math.cosh(x) ** 2
-        return max(self.gain * sech2, 1e-9)
+        return math.copysign(max(abs(self.gain * sech2), 1e-9), self.gain)
 
 
 @dataclass
@@ -341,6 +348,10 @@ class Circuit:
         gain: float,
         vmax: float,
     ) -> None:
+        if vmax <= 0:
+            raise SimulationError(
+                f"saturating VCVS {name!r} vmax must be positive"
+            )
         for n in (npos, nneg, cpos, cneg):
             self._node(n)
         self._register(SaturatingVcvs(name, npos, nneg, cpos, cneg, gain, vmax))
@@ -418,6 +429,9 @@ class StampTable:
         self._switch_terms: List[Tuple[int, int, float]] = []
         self._saturating: List[Tuple[SaturatingVcvs, int, int, int]] = []
         self._functions: List[Tuple[FunctionSource, int, List[int]]] = []
+        #: whether a function source reads its own output (a Schmitt
+        #: trigger), so that the Newton start picks its branch
+        self.hysteretic = False
         #: right-hand-side elements, in element order
         self._sources: List[Tuple[_Element, int, int]] = []
         self.capacitors: List[Tuple[Capacitor, int, int]] = []
@@ -508,6 +522,7 @@ class StampTable:
                 self._functions.append(
                     (element, k, [index(n) for n in element.inputs])
                 )
+                self.hysteretic |= element.nout in element.inputs
             else:  # pragma: no cover - defensive
                 raise SimulationError(
                     f"unknown element type {type(element).__name__}"
@@ -800,7 +815,7 @@ class MnaSolver:
         accepts it (the initial guess, the line search's candidate or
         the fallback step) also yields the ``(A, b)`` the next solve
         uses.  Runs inside :meth:`_analysis`, which publishes the
-        assembly and exhausted-solve counts.
+        assembly, factorization and exhausted-solve counts.
         """
         x = x0.copy()
         if not x.size:
@@ -811,7 +826,7 @@ class MnaSolver:
         for _ in range(max_iter):
             # The guard boundary owns fault injection, the singular
             # error (with suspect naming), the success/failure
-            # factorization counters, and the once-per-analysis
+            # factorization counts, and the once-per-analysis
             # condition estimate.
             x_new = guarded_solve(
                 backend, A, b, self._guard, where=f" at t={t:g} s"
@@ -850,6 +865,7 @@ class MnaSolver:
         publishes when it ends."""
         self.stamps.forget()
         assemblies, exhausted = self.stamps.assemblies, self._exhausted
+        factorizations = self._guard.factorizations
         try:
             yield
         finally:
@@ -857,6 +873,10 @@ class MnaSolver:
             registry = metrics()
             registry.inc(
                 "spice.mna.assemblies", self.stamps.assemblies - assemblies
+            )
+            registry.inc(
+                "spice.mna.factorizations",
+                self._guard.factorizations - factorizations,
             )
             registry.inc(
                 "spice.mna.newton_exhausted", self._exhausted - exhausted
@@ -881,7 +901,19 @@ class MnaSolver:
         dt: float,
         probes: Optional[Sequence[str]] = None,
     ) -> TransientResult:
-        """Backward-Euler transient from t=0."""
+        """Backward-Euler transient from t=0.
+
+        Each step's Newton solve starts at the solution extrapolated
+        linearly from the last two accepted ones, ``2·x₁ − x₂``; step 1
+        starts at the initial state.  Where a step has one solution,
+        the start changes only how many iterations it takes; the
+        answer moves only within the Newton tolerance.  A
+        function source that reads its own output (a Schmitt trigger)
+        has two inside its hysteresis band, and Newton keeps the one it
+        starts on; an extrapolated start can sit on the other, so a
+        circuit with one starts every step from the previous solution.
+        Switches follow the previous step's solution either way.
+        """
         if dt <= 0 or t_end <= 0:
             raise SimulationError("dt and t_end must be positive")
         names = probes if probes is not None else self.circuit.node_names
@@ -905,14 +937,18 @@ class MnaSolver:
                 elif j >= 0 and i < 0:
                     x[j] = -element.ic
         prev = x.copy()
+        # With only the initial state accepted, step 1 starts there.
+        prev_prev = prev
+        extrapolate = not self.stamps.hysteretic
         with self._analysis():
             for step in range(n_steps):
                 t = (step + 1) * dt
-                x = self._newton(x, t, dt, prev, switch_controls=prev)
+                start = 2.0 * prev - prev_prev if extrapolate else prev
+                x = self._newton(start, t, dt, prev, switch_controls=prev)
                 self._check_solution_finite(x, t=t)
                 times[step] = t
                 states[step] = x
-                prev = x.copy()
+                prev_prev, prev = prev, x.copy()
         voltages = {}
         for name in names:
             index = self._index(name)

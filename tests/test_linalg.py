@@ -14,6 +14,7 @@ from repro.apps import ALL_APPLICATIONS
 from repro.diagnostics import SimulationError
 from repro.flow import synthesize
 from repro.instrument import metrics
+from repro.instrument.events import CATEGORY_METRIC, telemetry
 from repro.robust.faultinject import inject_faults
 from repro.spice import dc, elaborate
 from repro.spice import linalg as linalg_module
@@ -195,6 +196,28 @@ class TestFactorizationCounters:
                 registry.counter("spice.mna.factorizations") - ok_after
             )
         assert gained == ok_after - ok_before
+
+
+class TestFactorizationEvents:
+    def test_transient_publishes_one_event_with_the_whole_count(self):
+        registry = metrics()
+        before = registry.counter("spice.mna.factorizations")
+        seen = []
+        with telemetry() as bus:
+            bus.subscribe(seen.append)
+            simulate_transient(rc_ladder(), t_end=1e-5, dt=1e-6)
+        counted = registry.counter("spice.mna.factorizations") - before
+        assert counted >= 10  # at least one per step
+        published = [
+            event.payload for event in seen
+            if event.category == CATEGORY_METRIC
+            and event.payload.get("name") == "spice.mna.factorizations"
+        ]
+        assert published == [{
+            "kind": "counter",
+            "name": "spice.mna.factorizations",
+            "delta": counted,
+        }]
 
 
 def _app_sources():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.diagnostics import SimulationError
+from repro.instrument import metrics
 from repro.spice.mna import (
     Circuit,
     MnaSolver,
@@ -109,6 +110,24 @@ class TestDcAnalysis:
         assert abs(op["out"]) <= 5.0
         assert op["out"] == pytest.approx(5.0, rel=1e-2)
 
+    def test_negative_gain_follower_matches_its_mirror(self):
+        # v(out) = 5 tanh(-1000 (out - in) / 5) is the same follower as
+        # its positive-gain mirror with the control terminals swapped.
+        def follower(gain, cpos, cneg):
+            c = Circuit()
+            c.vsource("V1", "in", "0", dc(0.3))
+            c.saturating_vcvs("E1", "out", "0", cpos, cneg, gain, 5.0)
+            return c
+
+        registry = metrics()
+        before = registry.counter("spice.mna.newton_exhausted")
+        negative = MnaSolver(follower(-1000.0, "out", "in"))
+        mirror = MnaSolver(follower(1000.0, "in", "out"))
+        assert negative.dc_operating_point() == pytest.approx(
+            mirror.dc_operating_point(), abs=1e-12
+        )
+        assert registry.counter("spice.mna.newton_exhausted") == before
+
 
 class TestTransient:
     def test_rc_charging(self):
@@ -200,6 +219,12 @@ class TestCircuitConstruction:
         c = Circuit()
         with pytest.raises(SimulationError):
             c.capacitor("C1", "a", "0", -1e-9)
+
+    @pytest.mark.parametrize("vmax", [0.0, -5.0])
+    def test_nonpositive_saturation_level_rejected(self, vmax):
+        c = Circuit()
+        with pytest.raises(SimulationError):
+            c.saturating_vcvs("E1", "out", "0", "in", "0", 1000.0, vmax)
 
     def test_ground_aliases(self):
         c = Circuit()

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.apps import biquad_filter, receiver
+from repro.apps import biquad_filter
 from repro.flow import synthesize
 from repro.instrument import metrics
 from repro.spice import dc, elaborate, sin_wave
@@ -32,16 +32,6 @@ from repro.spice.mna import (
     VoltageSource,
     _NewtonSystem,
 )
-
-SQUARER_SOURCE = """
-ENTITY squarer IS
-PORT (QUANTITY u : IN real; QUANTITY y : OUT real);
-END ENTITY;
-ARCHITECTURE a OF squarer IS
-BEGIN
-  y == 0.5 * u * u + 0.1;
-END ARCHITECTURE;
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -272,28 +262,9 @@ def every_element() -> Circuit:
     return c
 
 
-def _verify_circuits():
-    squarer = synthesize(SQUARER_SOURCE).netlist
-    receiver_netlist = synthesize(receiver.VASS_SOURCE).netlist
-    biquad = synthesize(biquad_filter.VASS_SOURCE).netlist
-    line = {"line": sin_wave(0.8, 1e3), "local": lambda t: 0.1}
-    figure8 = {"line": sin_wave(1.0, 1e3), "local": lambda t: 0.1}
-    return {
-        # name: (circuit, t_end, dt)
-        "receiver": (elaborate(receiver_netlist, input_waves=line),
-                     1e-3, 2e-6),
-        "biquad": (elaborate(biquad, input_waves={
-            "vin": sin_wave(0.5, 200.0)}), 5e-3, 5e-6),
-        "squarer": (elaborate(squarer, input_waves={
-            "u": sin_wave(0.8, 1e3)}), 1e-3, 2e-6),
-        "figure8": (elaborate(receiver_netlist, input_waves=figure8),
-                    1e-3, 2e-6),
-    }
-
-
 @pytest.fixture(scope="module")
-def verify_circuits():
-    return _verify_circuits()
+def verify_circuits(verification_inputs):
+    return verification_inputs(0.5)
 
 
 # ---------------------------------------------------------------------------
