@@ -24,16 +24,30 @@ def _no_default_ledger(monkeypatch):
 
 
 @pytest.fixture
-def fault_injector():
-    """Deterministic fault injection with guaranteed teardown.
+def singular_ac(monkeypatch):
+    """Make every AC sweep singular at every frequency point.
 
-    Yields a :class:`repro.robust.faultinject.FaultInjector`; any sites
-    still armed when the test ends (including on failure) are cleared so
-    no fault leaks into the rest of the suite.
+    No circuit has a regular DC bias point yet a singular AC system, so
+    the AC engine's singular-matrix path cannot be reached from a real
+    input.  This disconnects the first unknown of the small-signal
+    system: its row and column are zeroed in the ``G`` and ``C``
+    matrices that ``AcSolver._solve_grid`` composes ``A(ω) = G + jω·C``
+    from, so the batched backend and its dense fallback factorize the
+    same singular systems.  The bias point is solved before and stays
+    regular.
     """
-    from repro.robust.faultinject import pytest_fixture
+    from repro.spice.ac import AcSolver
 
-    yield from pytest_fixture()
+    solve_grid = AcSolver._solve_grid
+
+    def disconnected(self, backend, guard, frequencies, G, C, b):
+        G, C = G.copy(), C.copy()
+        for matrix in (G, C):
+            matrix[0, :] = 0.0
+            matrix[:, 0] = 0.0
+        return solve_grid(self, backend, guard, frequencies, G, C, b)
+
+    monkeypatch.setattr(AcSolver, "_solve_grid", disconnected)
 
 
 @pytest.fixture

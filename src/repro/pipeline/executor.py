@@ -71,7 +71,6 @@ package initialisation order circular.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import time
@@ -294,8 +293,8 @@ def _worker_main(conn) -> None:
     """The loop of one spawn worker: recv task, run, send result.
 
     Messages from the parent are ``("task", task_id, fn, args, run_id,
-    forward, faults, attempt)`` tuples, ``("cancel", task_id)``
-    requests, or the poison pill (``None``) meaning exit.  Replies are
+    forward)`` tuples, ``("cancel", task_id)`` requests, or the poison
+    pill (``None``) meaning exit.  Replies are
     ``("event", task_id, category, payload)`` — telemetry forwarded
     live while the task runs — and one terminal ``("done", task_id,
     ok, value, cache_delta, counted)``, where ``cache_delta`` is what
@@ -308,10 +307,7 @@ def _worker_main(conn) -> None:
     request is seen while a task runs: it cancels the current task's
     lifecycle token, and the task abandons work at its next
     cooperative checkpoint (the raised ``CancelledError`` ships back
-    like any other task exception).  The fault sites armed in the
-    submitting process travel with each task and are re-armed here, so
-    parent-side ``inject_faults`` reaches code running in workers; the
-    ``executor.*`` sites are handled directly in this loop.
+    like any other task exception).
     """
     import queue as queue_mod
     import signal
@@ -319,12 +315,10 @@ def _worker_main(conn) -> None:
 
     from repro.instrument.events import TelemetryBus, run_scope, telemetry
     from repro.pipeline.cache import stats_delta, worker_stats
-    from repro.robust.faultinject import inject_faults
     from repro.robust.lifecycle import (
         CancellationToken,
         CancelledError,
         RunContext,
-        TransientError,
         run_context,
     )
 
@@ -373,8 +367,7 @@ def _worker_main(conn) -> None:
         message = inbox.get()
         if message is _PILL:
             break
-        (_mkind, task_id, fn, args, run_id, forward, faults,
-         attempt) = message
+        _mkind, task_id, fn, args, run_id, forward = message
 
         with current_lock:
             cancelled_early = task_id in early_cancels
@@ -396,11 +389,6 @@ def _worker_main(conn) -> None:
             except Exception:  # noqa: BLE001 - never kill the task
                 pass
 
-        if "executor.worker_crash_always" in faults or (
-            "executor.worker_crash" in faults and attempt == 0
-        ):
-            os._exit(13)  # injected hard crash, as if segfaulted
-
         token = CancellationToken()
         with current_lock:
             current["id"] = task_id
@@ -409,13 +397,7 @@ def _worker_main(conn) -> None:
         counters_before = metrics().counters()
         ok = True
         try:
-            if "executor.transient" in faults and attempt == 0:
-                raise TransientError(
-                    "injected transient failure on the first attempt"
-                )
             with ExitStack() as stack:
-                if faults:
-                    stack.enter_context(inject_faults(*faults))
                 if forward:
                     bus = TelemetryBus()
                     bus.subscribe(forward_event)
@@ -487,8 +469,6 @@ class _Pending:
     run_id: Optional[str]
     forward: bool
     future: "Future" = field(default_factory=Future)
-    #: fault sites armed in the submitting process, shipped along
-    faults: Tuple[str, ...] = ()
     #: stable task identity for retry jitter and the circuit breaker
     fingerprint: str = ""
     #: retry attempt number (0 = first execution)
@@ -575,7 +555,6 @@ class ProcessExecutor(Executor):
 
     def submit(self, fn: Callable, *args) -> "Future":
         from repro.instrument.events import active_bus, current_run_id
-        from repro.robust.faultinject import active_faults
         from repro.robust.lifecycle import task_fingerprint
 
         with self._lock:
@@ -588,7 +567,6 @@ class ProcessExecutor(Executor):
                 run_id=current_run_id(),
                 forward=active_bus() is not None,
                 future=_TaskFuture(self, self._next_id),
-                faults=tuple(sorted(active_faults())),
                 fingerprint=task_fingerprint(fn, args),
             )
             self._next_id += 1
@@ -660,8 +638,7 @@ class ProcessExecutor(Executor):
                 try:
                     handle.conn.send((
                         "task", pending.id, pending.fn, pending.args,
-                        pending.run_id, pending.forward, pending.faults,
-                        pending.attempt,
+                        pending.run_id, pending.forward,
                     ))
                 except Exception as err:  # noqa: BLE001 - unpicklable task
                     pending.future.set_exception(VaseError(

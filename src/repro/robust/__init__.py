@@ -19,10 +19,13 @@ exception.  This package makes the flow degrade gracefully and report
   whole-flow deadline propagation, and the transient-failure taxonomy
   the executors' retry machinery classifies against;
 * :mod:`repro.robust.journal` — the fsync'd completion journal behind
-  crash-safe ``vase batch --resume``;
-* :mod:`repro.robust.faultinject` — the deterministic fault-injection
-  harness that forces each failure class so every recovery path is
-  exercised in tests and CI.
+  crash-safe ``vase batch --resume``.
+
+The tests reach every one of these failure paths from outside the
+program: real inputs where one provokes the failure (a singular
+circuit, a NaN source waveform, an unmeetable constraint, a zero
+mapper deadline), and ``monkeypatch`` or test-module tasks where none
+does.
 """
 
 from repro.robust.batch import (
@@ -31,12 +34,6 @@ from repro.robust.batch import (
     find_sources,
     run_batch,
     schedule_longest_first,
-)
-from repro.robust.faultinject import (
-    FaultInjector,
-    active_faults,
-    fault_active,
-    inject_faults,
 )
 from repro.robust.journal import BatchJournal
 from repro.robust.lifecycle import (
@@ -70,7 +67,6 @@ __all__ = [
     "CancellationToken",
     "CancelledError",
     "DeadlineExceeded",
-    "FaultInjector",
     "NumericalWarning",
     "RecoveryEvent",
     "RetryPolicy",
@@ -78,13 +74,10 @@ __all__ = [
     "TransientError",
     "WorkerCrashError",
     "active_context",
-    "active_faults",
     "check_finite",
     "checkpoint",
     "condition_estimate",
-    "fault_active",
     "find_sources",
-    "inject_faults",
     "is_transient",
     "relax_constraints",
     "run_batch",

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
+from repro.diagnostics import LexerError, ParseError, Severity, VaseError
 from repro.instrument.events import (
     CATEGORY_LIFECYCLE,
     active_bus,
@@ -55,6 +56,7 @@ from repro.instrument.ledger import (  # the per-file outcome buckets
     error_outcome,
 )
 from repro.pipeline import ArtifactCache, ParallelOptions, create_executor
+from repro.vass.parser import parse_source_collecting
 
 #: Source suffixes ``vase batch <dir>`` picks up.
 SOURCE_SUFFIXES = (".vhd", ".vhdl", ".vass")
@@ -273,11 +275,10 @@ def run_source(
     on success (the server builds its artifacts from it), else
     ``None``.
     """
-    # Imported lazily: repro.flow imports the mapper, which imports the
-    # fault-injection hooks from this package.
-    from repro.diagnostics import LexerError, ParseError, Severity, VaseError
+    # Imported lazily: repro.flow imports the mapper, which imports
+    # repro.robust.lifecycle, and so this package, whose __init__
+    # imports this module.
     from repro.flow import synthesize
-    from repro.vass.parser import parse_source_collecting
 
     entry = BatchEntry(file=label, status=STATUS_FAILED)
     start = time.perf_counter()

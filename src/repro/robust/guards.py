@@ -92,22 +92,6 @@ def singular_suspects(
     return suspects
 
 
-def zero_first_unknown(matrix: np.ndarray) -> np.ndarray:
-    """Fault-injection helper: disconnect the first unknown (on a copy).
-
-    Zeroing the first row and column makes the system exactly singular,
-    driving the real singular-matrix error path from tests.  Works on a
-    single ``(n, n)`` system and on a stacked ``(m, n, n)`` grid alike,
-    so the batched AC backend fails through the same code path as the
-    per-point loop.
-    """
-    faulted = matrix.copy()
-    if faulted.shape[-1]:
-        faulted[..., 0, :] = 0.0
-        faulted[..., :, 0] = 0.0
-    return faulted
-
-
 def describe_singular_system(
     system: str,
     matrix: np.ndarray,

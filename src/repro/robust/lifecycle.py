@@ -64,7 +64,9 @@ class DeadlineExceeded(CancelledError):
 
 
 class TransientError(VaseError):
-    """A failure the executor may safely retry (e.g. injected faults)."""
+    """A failure the executor may safely retry: running the same task
+    again may succeed (its worker died, or it reported a passing
+    condition)."""
 
 
 class WorkerCrashError(TransientError):

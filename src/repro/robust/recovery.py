@@ -142,8 +142,8 @@ def relax_constraints(
                 f"{new:.3e}",
             )
             relaxed.signal_bandwidth_hz = new
-        # Unknown / un-relaxable names (e.g. an injected fault) are
-        # deliberately left alone.
+        # A name with no rule here (nothing the ladder may loosen) is
+        # left alone.
     return relaxed, changes
 
 

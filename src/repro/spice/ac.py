@@ -141,7 +141,6 @@ class AcSolver:
                 + (1j * omegas)[:, np.newaxis, np.newaxis]
                 * C[np.newaxis, :, :]
             )
-            A_stack = guard.inject_fault(A_stack)
             try:
                 solutions = backend.solve_grid(A_stack, b)
             except np.linalg.LinAlgError:
@@ -199,7 +198,6 @@ class AcSolver:
                 system="AC",
                 title=self.circuit.title,
                 labels=self._mna.unknown_labels,
-                fault_site="spice.ac.singular",
                 condition_text="the response may be numerically meaningless",
             )
             try:

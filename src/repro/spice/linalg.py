@@ -1,11 +1,10 @@
 """Pluggable linear-solver backends for the SPICE substrate.
 
 The MNA and AC engines used to call ``np.linalg.solve`` inline, each
-wrapping the call in its own copy of the numerical guards (fault
-injection, singular-suspect naming, the once-per-analysis condition
-estimate, factorization counters).  This module extracts that solve
-path behind one :class:`LinearSolver` interface with three
-implementations:
+wrapping the call in its own copy of the numerical guards
+(singular-suspect naming, the once-per-analysis condition estimate,
+factorization counters).  This module extracts that solve path behind
+one :class:`LinearSolver` interface with three implementations:
 
 ``dense``
     the reference: one LAPACK solve per system, exactly the seed
@@ -23,13 +22,13 @@ implementations:
     sparse backend is never selected.
 
 The guards live at this boundary, in :class:`AnalysisGuard`, instead of
-being duplicated per call site: fault-injection row-zeroing, the
-singular error message (both assembled by ``repro.robust.guards``
-helpers), the once-per-analysis condition estimate, and the
-factorization counts.  The guard counts successful factorizations, and
-the engine publishes that count on ``spice.mna.factorizations`` once
-per analysis, when the analysis ends; each failure lands on
-``spice.mna.factorization_failures`` at once.
+being duplicated per call site: the singular error message (assembled
+by a ``repro.robust.guards`` helper), the once-per-analysis condition
+estimate, and the factorization counts.  The guard counts successful
+factorizations, and the engine publishes that count on
+``spice.mna.factorizations`` once per analysis, when the analysis
+ends; each failure lands on ``spice.mna.factorization_failures`` at
+once.
 
 Backend selection is the code's, not the caller's: each analysis asks
 :func:`resolve_backend` with its unknown count and grid size, which
@@ -48,13 +47,11 @@ import numpy as np
 
 from repro.diagnostics import SimulationError
 from repro.instrument import metrics
-from repro.robust.faultinject import fault_active
 from repro.robust.guards import (
     ILL_CONDITION_THRESHOLD,
     NumericalWarning,
     condition_estimate,
     describe_singular_system,
-    zero_first_unknown,
 )
 
 #: unknown count from which the sparse backend is selected
@@ -169,13 +166,12 @@ class AnalysisGuard:
     """Per-analysis numerical-guard state, shared by every backend.
 
     Owns what the engines used to duplicate around each inline solve:
-    the fault-injection site, the singular error (with suspect naming
-    and a location clause), the once-per-analysis condition estimate,
-    and the count of successful factorizations, which the engine
-    publishes when its analysis ends.  One guard instance spans one
-    analysis (a DC solve, a transient, an AC sweep); :meth:`reset`
-    rearms the condition check for the next analysis on the same
-    solver.
+    the singular error (with suspect naming and a location clause), the
+    once-per-analysis condition estimate, and the count of successful
+    factorizations, which the engine publishes when its analysis ends.
+    One guard instance spans one analysis (a DC solve, a transient, an
+    AC sweep); :meth:`reset` rearms the condition check for the next
+    analysis on the same solver.
     """
 
     def __init__(
@@ -183,13 +179,11 @@ class AnalysisGuard:
         system: str,
         title: str,
         labels: Sequence[str],
-        fault_site: str,
         condition_text: str,
     ):
         self.system = system
         self.title = title
         self.labels = labels
-        self.fault_site = fault_site
         self.condition_text = condition_text
         self.condition_checked = False
         #: successful factorizations over the guard's life
@@ -197,12 +191,6 @@ class AnalysisGuard:
 
     def reset(self) -> None:
         self.condition_checked = False
-
-    def inject_fault(self, A: np.ndarray) -> np.ndarray:
-        """Apply the armed fault (if any); works on grids too."""
-        if fault_active(self.fault_site):
-            return zero_first_unknown(A)
-        return A
 
     def singular_error(
         self, A: np.ndarray, err: Exception, where: str = ""
@@ -243,7 +231,6 @@ def guarded_solve(
     ``spice.mna.factorization_failures`` at once), then runs the
     guard's once-per-analysis condition estimate.
     """
-    A = guard.inject_fault(A)
     try:
         x = backend.solve(A, b)
     except np.linalg.LinAlgError as err:

@@ -39,7 +39,9 @@ Every analysis (a DC solve, a transient, an AC bias point) publishes
 its Newton counters once, when it ends, even when it raises:
 ``spice.mna.assemblies``, ``spice.mna.factorizations`` and
 ``spice.mna.newton_exhausted``, the solves that hit ``max_iter`` and
-returned their best-effort iterate.
+returned their best-effort iterate.  An analysis that ends normally
+with any such solve also emits one :class:`NumericalWarning` naming the
+count and the first one's time, residual and worst unknown.
 
 Node names are strings; ``"0"`` and ``"gnd"`` are ground.
 """
@@ -56,8 +58,7 @@ import numpy as np
 
 from repro.diagnostics import SimulationError
 from repro.instrument import metrics
-from repro.robust.faultinject import fault_active
-from repro.robust.guards import check_finite
+from repro.robust.guards import NumericalWarning, check_finite
 from repro.spice.linalg import (
     AnalysisGuard,
     LinearSolver,
@@ -744,18 +745,22 @@ class MnaSolver:
             f"v({name})" for name in circuit.node_names
         ] + branch_labels
         #: the numerical-guard boundary every factorization goes
-        #: through: fault injection, singular-suspect naming, the
-        #: once-per-analysis condition estimate
+        #: through: singular-suspect naming, the once-per-analysis
+        #: condition estimate
         self._guard = AnalysisGuard(
             system="MNA",
             title=circuit.title,
             labels=self.unknown_labels,
-            fault_site="spice.singular",
             condition_text="voltages may be numerically meaningless",
         )
         self._backend: Optional[LinearSolver] = None
         #: Newton solves that hit ``max_iter``, over this solver's life
         self._exhausted = 0
+        #: the current analysis's first exhausted solve: ``(t or None
+        #: at DC, residual, worst unknown's label)``
+        self._first_exhausted: Optional[
+            Tuple[Optional[float], float, str]
+        ] = None
         self.stamps = StampTable(
             circuit, self._index, self._n, self._size
         )
@@ -779,11 +784,6 @@ class MnaSolver:
         self, x: np.ndarray, t: Optional[float] = None
     ) -> None:
         """Raise a located error when the solution went NaN/Inf."""
-        if fault_active("spice.nonfinite") and x.size:
-            # Fault injection: corrupt the first unknown so detection
-            # runs through the real guard path.
-            x = x.copy()
-            x[0] = math.nan
         bad = check_finite(x, self.unknown_labels)
         if bad is None:
             return
@@ -824,10 +824,9 @@ class MnaSolver:
         A, b, residual = system.residual(x)
         backend = self._solver_backend()
         for _ in range(max_iter):
-            # The guard boundary owns fault injection, the singular
-            # error (with suspect naming), the success/failure
-            # factorization counts, and the once-per-analysis
-            # condition estimate.
+            # The guard boundary owns the singular error (with suspect
+            # naming), the success/failure factorization counts, and
+            # the once-per-analysis condition estimate.
             x_new = guarded_solve(
                 backend, A, b, self._guard, where=f" at t={t:g} s"
             )
@@ -856,16 +855,25 @@ class MnaSolver:
             if residual < tol:
                 return x
         self._exhausted += 1
-        return x  # best effort; tests check accuracy explicitly
+        if self._first_exhausted is None:
+            worst = int(np.abs(A @ x - b).argmax())
+            self._first_exhausted = (
+                None if dt is None else t,
+                residual,
+                self.unknown_labels[worst],
+            )
+        return x  # best effort; _analysis warns when the analysis ends
 
     @contextmanager
     def _analysis(self) -> Iterator[None]:
         """One analysis (a DC solve, a transient, an AC bias point): the
         scope of the linear-matrix memo, and of the Newton counters it
-        publishes when it ends."""
+        publishes when it ends.  An analysis that ends normally with an
+        exhausted Newton solve warns once."""
         self.stamps.forget()
         assemblies, exhausted = self.stamps.assemblies, self._exhausted
         factorizations = self._guard.factorizations
+        self._first_exhausted = None
         try:
             yield
         finally:
@@ -881,6 +889,17 @@ class MnaSolver:
             registry.inc(
                 "spice.mna.newton_exhausted", self._exhausted - exhausted
             )
+        if self._first_exhausted is not None:
+            t, residual, worst = self._first_exhausted
+            where = "at DC" if t is None else f"at t={t:g} s"
+            warnings.warn(
+                f"Newton did not converge in {self._exhausted - exhausted} "
+                f"solve(s) of {self.circuit.title!r}; the first, {where}, "
+                f"stopped at residual {residual:.2e} with {worst} the "
+                "worst unknown; those points are best-effort iterates",
+                NumericalWarning,
+                stacklevel=4,
+            )
 
     # -- public analyses ----------------------------------------------------------------
 
@@ -889,7 +908,7 @@ class MnaSolver:
         self._guard.reset()
         with self._analysis():
             x = self._newton(np.zeros(self._size), 0.0, None, None, None)
-        self._check_solution_finite(x)
+            self._check_solution_finite(x)
         return {
             name: float(x[index])
             for name, index in self.circuit._nodes.items()

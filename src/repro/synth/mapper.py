@@ -31,16 +31,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.diagnostics import Diagnostic, Severity, SynthesisError
-from repro.estimation.constraints import (
-    ConstraintSet,
-    ConstraintViolation,
-    PerformanceEstimate,
-)
+from repro.estimation.constraints import ConstraintSet, PerformanceEstimate
 from repro.estimation.estimator import Estimator
 from repro.instrument import active_explog, metrics, trace_phase
 from repro.library.components import ComponentLibrary, default_library
 from repro.library.patterns import CandidateIndex, PatternMatch, PatternMatcher
-from repro.robust.faultinject import INJECTED_VIOLATION, fault_active
 from repro.robust.lifecycle import active_context
 from repro.synth.netlist import ComponentInstance, Netlist
 from repro.vhif.design import VhifDesign
@@ -413,13 +408,6 @@ class ArchitectureMapper:
         netlist = self._current_netlist()
         estimate = self.estimator.estimate(netlist)
         violations = self.estimator.constraints.check_detailed(estimate)
-        if fault_active("mapper.infeasible"):
-            violations = list(violations) + [
-                ConstraintViolation(
-                    INJECTED_VIOLATION,
-                    "fault injection: mapping forced infeasible",
-                )
-            ]
         if violations:
             # An infeasible complete mapping: tally *which* constraints
             # killed it, so the search outcome can name its blockers.
@@ -705,15 +693,7 @@ class ArchitectureMapper:
         start = time.perf_counter()
         if self.options.deadline_s is not None:
             self._deadline = start + max(self.options.deadline_s, 0.0)
-        if fault_active("mapper.deadline"):
-            # Fault injection: behave as if the wall clock expired
-            # before the first decision node.
-            self._deadline = start
         self._lifecycle = active_context()
-        if self._lifecycle is not None and fault_active("mapper.cancel"):
-            # Fault injection: the run is cancelled just as the search
-            # starts, driving the in-loop cancellation path.
-            self._lifecycle.token.cancel("injected mapper.cancel fault")
         self._explog = active_explog()
         if self._explog is not None:
             self._explog.emit(
@@ -759,12 +739,8 @@ class ArchitectureMapper:
         diagnostics: List[Diagnostic] = []
         if self._stats.truncated:
             if self._stats.truncated_reason == "deadline":
-                # deadline_s may be None when the deadline was injected.
-                budget = (
-                    f"the {self.options.deadline_s:g} s wall-clock deadline"
-                    if self.options.deadline_s is not None
-                    else "the (injected) wall-clock deadline"
-                )
+                deadline = self.options.deadline_s
+                budget = f"the {deadline:g} s wall-clock deadline"
             else:
                 budget = f"the {self.options.max_nodes}-node budget"
             diagnostics.append(

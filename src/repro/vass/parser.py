@@ -26,15 +26,6 @@ from repro.diagnostics import (
 from repro.vass import ast_nodes as ast
 from repro.vass.lexer import Token, TokenKind, tokenize
 
-
-def _fault_active(site: str) -> bool:
-    # Imported lazily: the parser sits at the very start of the import
-    # graph, and repro.robust pulls in estimation (which needs the
-    # parser back).  One cached-module lookup per parse call.
-    from repro.robust.faultinject import fault_active
-
-    return fault_active(site)
-
 #: Functions recognized as predefined calls in expressions.
 PREDEFINED_FUNCTIONS = frozenset(
     {
@@ -1015,11 +1006,6 @@ def parse_source(text: str, filename: str = "<string>") -> ast.SourceFile:
     """Tokenize and parse VASS source text into an AST."""
     from repro.instrument import metrics, trace_phase
 
-    if _fault_active("parse"):
-        raise ParseError(
-            "fault injection: forced parse error",
-            SourceLocation(1, 1, filename),
-        )
     tokens = tokenize(text, filename)
     with trace_phase("parse", filename=filename) as span:
         source_file = Parser(tokens, filename).parse_source_file()
@@ -1046,14 +1032,6 @@ def parse_source_collecting(
     when the error list is empty).  A lexer error still ends the run —
     tokenization is all-or-nothing — but is returned, not raised.
     """
-    if _fault_active("parse"):
-        return (
-            ast.SourceFile(units=[], filename=filename),
-            [ParseError(
-                "fault injection: forced parse error",
-                SourceLocation(1, 1, filename),
-            )],
-        )
     try:
         tokens = tokenize(text, filename)
     except LexerError as err:

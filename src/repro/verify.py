@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.diagnostics import SimulationError
 from repro.flow import SynthesisResult
 from repro.spice.netlister import elaborate
 from repro.vhif.interp import Interpreter
@@ -88,19 +89,35 @@ def verify_equivalence(
     The first ``settle_fraction`` of both traces is discarded (op-amp
     macromodels and integrator companions need a few steps to bias up),
     then per-output RMS deviation is measured relative to the
-    behavioral trace's scale.
+    behavioral trace's scale.  Raises :class:`SimulationError` when
+    ``tolerance`` is not positive or there is no quantity output to
+    compare.
     """
+    if not tolerance > 0:
+        raise SimulationError(
+            f"verification tolerance must be positive, got {tolerance:g}"
+        )
     inputs = dict(inputs or {})
+    design = result.design
     if outputs is not None:
         ports = list(outputs)
     else:
         ports = [
             name
-            for name, info in result.design.ports.items()
+            for name, info in design.ports.items()
             if info.direction == "out"
         ]
     if not ports:
-        raise ValueError("design has no output ports to compare")
+        message = f"design {design.name!r} has no quantity output to compare"
+        signals = sorted(
+            {signal for fsm in design.fsms for signal in fsm.output_signals()}
+        )
+        if signals:
+            message += (
+                f"; its outputs are signals ({', '.join(signals)}), which "
+                "the transient check does not probe"
+            )
+        raise SimulationError(message)
 
     # --- behavioral reference ------------------------------------------
     interp = Interpreter(result.design, dt=dt, inputs=inputs)

@@ -105,6 +105,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "EQUIVALENT" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["power_meter"], "error: design 'power_meter' has no quantity "
+                          "output to compare; its outputs are signals"),
+        (["receiver", "--tolerance", "-1"],
+         "error: verification tolerance must be positive, got -1"),
+    ])
+    def test_verify_command_rejects_bad_input(self, argv, message, capsys):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+        assert "DEVIATES" not in captured.out
+
     def test_ac_command(self, capsys):
         assert main(["ac", "biquad_filter"]) == 0
         out = capsys.readouterr().out

@@ -3,6 +3,7 @@ deadline propagation, executor retries, serve cancel/drain/auth,
 crash-safe batch resume and the reconnecting watch client."""
 
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -13,6 +14,7 @@ import pytest
 
 from repro.diagnostics import VaseError
 import repro.flow as flow_mod
+import repro.synth.mapper as mapper_mod
 from repro.flow import FlowOptions, synthesize
 from repro.instrument import (
     RunLedger,
@@ -33,7 +35,6 @@ from repro.robust import (
     WorkerCrashError,
     active_context,
     checkpoint,
-    inject_faults,
     is_transient,
     run_batch,
     run_context,
@@ -74,6 +75,32 @@ AMP2 = AMP.replace("amp", "amp2").replace("-5.0", "-3.0")
 
 def _double(x):
     return x * 2
+
+
+def _first_attempt(marker):
+    """True on the first call for ``marker``: it leaves the marker file
+    behind, so a retried attempt (on any worker) sees it."""
+    try:
+        with open(marker, "x"):
+            return True
+    except FileExistsError:
+        return False
+
+
+def _crash_first_then_double(marker, x):
+    if _first_attempt(marker):
+        os._exit(13)  # a hard crash, as if the worker segfaulted
+    return x * 2
+
+
+def _transient_first_then_double(marker, x):
+    if _first_attempt(marker):
+        raise TransientError("transient failure on the first attempt")
+    return x * 2
+
+
+def _always_crash(x):
+    os._exit(13)
 
 
 def _loop_until_cancelled():
@@ -185,6 +212,23 @@ class TestRetryPolicy:
             task_fingerprint(_double, (2,))
 
 
+@pytest.fixture
+def cancel_at_mapper(monkeypatch):
+    """Cancel the active run context just as a mapper search starts.
+
+    The mapper reads the run context once, when its search begins;
+    cancelling the context's token there drives the search loop's own
+    cancellation checkpoint.
+    """
+    def cancelling_context():
+        context = active_context()
+        if context is not None:
+            context.token.cancel("cancelled as the mapper search started")
+        return context
+
+    monkeypatch.setattr(mapper_mod, "active_context", cancelling_context)
+
+
 class TestFlowBudget:
     def test_exhausted_budget_raises_deadline_exceeded(self):
         with pytest.raises(DeadlineExceeded, match="deadline exceeded"):
@@ -198,15 +242,15 @@ class TestFlowBudget:
         assert result is None
         assert "deadline exceeded" in entry.error
 
-    def test_mapper_cancel_fault_cancels_the_run(self):
-        # The fault needs an installed run context to cancel; a generous
-        # budget provides one without ever expiring itself.
-        with inject_faults("mapper.cancel"):
-            entry, _result = run_source(
-                AMP, "amp.vhd", FlowOptions(deadline_s=600.0)
-            )
+    def test_mapper_cancel_fault_cancels_the_run(self, cancel_at_mapper):
+        # The cancel needs an installed run context; a generous budget
+        # provides one without ever expiring itself.
+        entry, _result = run_source(
+            AMP, "amp.vhd", FlowOptions(deadline_s=600.0)
+        )
         assert entry.status == "cancelled"
-        assert "mapper.cancel" in entry.error
+        assert "mapper.search" in entry.error
+        assert "cancelled as the mapper search started" in entry.error
         assert "deadline exceeded" not in entry.error
 
     def test_cli_budget_flag(self, tmp_path):
@@ -243,25 +287,26 @@ class TestProcessRetries:
         policy = RetryPolicy(backoff_s=0.01, **kwargs)
         return ProcessExecutor(1, retry=policy)
 
-    def test_worker_crash_is_retried_then_succeeds(self):
+    def test_worker_crash_is_retried_then_succeeds(self, tmp_path):
+        marker = str(tmp_path / "attempted")
         with self._executor(max_retries=2) as executor:
-            # The fault crashes the worker on attempt 0 only.
-            with inject_faults("executor.worker_crash"):
-                future = executor.submit(_double, 21)
+            # The task crashes its worker on the first attempt only.
+            future = executor.submit(_crash_first_then_double, marker, 21)
             assert future.result(timeout=60) == 42
 
-    def test_transient_error_is_retried_in_band(self):
+    def test_transient_error_is_retried_in_band(self, tmp_path):
+        marker = str(tmp_path / "attempted")
         with self._executor(max_retries=2) as executor:
-            with inject_faults("executor.transient"):
-                future = executor.submit(_double, 4)
+            future = executor.submit(
+                _transient_first_then_double, marker, 4
+            )
             assert future.result(timeout=60) == 8
 
     def test_retry_exhaustion_fails_with_worker_crash_error(self):
         with self._executor(
             max_retries=1, breaker_threshold=50
         ) as executor:
-            with inject_faults("executor.worker_crash_always"):
-                future = executor.submit(_double, 1)
+            future = executor.submit(_always_crash, 1)
             with pytest.raises(WorkerCrashError, match="crashed"):
                 future.result(timeout=60)
 
@@ -269,12 +314,11 @@ class TestProcessRetries:
         with self._executor(
             max_retries=10, breaker_threshold=2
         ) as executor:
-            with inject_faults("executor.worker_crash_always"):
-                first = executor.submit(_double, 7)
-                with pytest.raises(VaseError):
-                    first.result(timeout=60)
-                # Same task again: the breaker refuses to dispatch it.
-                second = executor.submit(_double, 7)
+            first = executor.submit(_always_crash, 7)
+            with pytest.raises(VaseError):
+                first.result(timeout=60)
+            # Same task again: the breaker refuses to dispatch it.
+            second = executor.submit(_always_crash, 7)
             with pytest.raises(VaseError, match="circuit breaker"):
                 second.result(timeout=60)
 
@@ -666,13 +710,14 @@ class TestBatchResume:
             run_batch(corpus, options=options, journal=journal)
         assert calls == [str(corpus[1])]
 
-    def test_cancelled_entry_surfaces_in_the_report(self, corpus):
-        # mapper.cancel needs an installed run context; a generous
+    def test_cancelled_entry_surfaces_in_the_report(
+        self, corpus, cancel_at_mapper
+    ):
+        # The cancel needs an installed run context; a generous
         # whole-flow budget provides one without expiring.
-        with inject_faults("mapper.cancel"):
-            report = run_batch(
-                corpus[:1], options=FlowOptions(deadline_s=600.0)
-            )
+        report = run_batch(
+            corpus[:1], options=FlowOptions(deadline_s=600.0)
+        )
         assert report.cancelled == 1
         assert report.entries[0].status == "cancelled"
         assert report.exit_code() == 1

@@ -15,7 +15,6 @@ from repro.diagnostics import SimulationError
 from repro.flow import synthesize
 from repro.instrument import metrics
 from repro.instrument.events import CATEGORY_METRIC, telemetry
-from repro.robust.faultinject import inject_faults
 from repro.spice import dc, elaborate
 from repro.spice import linalg as linalg_module
 from repro.spice.ac import ac_sweep
@@ -129,15 +128,16 @@ class TestAcBackendParity:
 
 
 class TestGuardParity:
-    """Errors and fault injection behave identically per backend."""
+    """Singular systems fail identically on every backend."""
 
     def _singular_message(self):
-        with inject_faults("spice.ac.singular"):
-            with pytest.raises(SimulationError) as err:
-                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
+        with pytest.raises(SimulationError) as err:
+            ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
         return str(err.value)
 
-    def test_batched_fallback_reproduces_dense_error(self, force_backend):
+    def test_batched_fallback_reproduces_dense_error(
+        self, force_backend, singular_ac
+    ):
         registry = metrics()
         before = registry.counter("spice.linalg.batched_fallbacks")
         force_backend("dense")
@@ -152,9 +152,13 @@ class TestGuardParity:
         )
 
     def test_mna_singular_fault_names_time(self):
-        with inject_faults("spice.singular"):
-            with pytest.raises(SimulationError, match="singular MNA"):
-                simulate_transient(rc_ladder(), t_end=1e-5, dt=1e-6)
+        # Two ideal sources forcing different voltages on one node.
+        circuit = rc_ladder()
+        circuit.vsource("VX", "n0", "0", dc(1.0))
+        with pytest.raises(
+            SimulationError, match=r"singular MNA matrix at t=1e-06 s"
+        ):
+            simulate_transient(circuit, t_end=1e-5, dt=1e-6)
 
 
 class TestFactorizationCounters:
@@ -171,30 +175,28 @@ class TestFactorizationCounters:
             == bad_before
         )
 
-    def test_failed_factorization_counts_failure_only(self, force_backend):
+    def test_failed_factorization_counts_failure_only(
+        self, force_backend, singular_ac
+    ):
         force_backend("dense")
         registry = metrics()
         bad_before = registry.counter("spice.mna.factorization_failures")
-        with inject_faults("spice.ac.singular"):
-            ok_before = registry.counter("spice.mna.factorizations")
-            with pytest.raises(SimulationError):
-                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
-            # The DC bias point solves fine; the first AC point fails
-            # and must not land on the success counter.
-            ok_after = registry.counter("spice.mna.factorizations")
+        ok_before = registry.counter("spice.mna.factorizations")
+        with pytest.raises(SimulationError):
+            ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
+        # The DC bias point solves fine; the first AC point fails
+        # and must not land on the success counter.
+        ok_after = registry.counter("spice.mna.factorizations")
         assert (
             registry.counter("spice.mna.factorization_failures")
             > bad_before
         )
         assert ok_after >= ok_before  # successes never decremented
-        with inject_faults("spice.ac.singular"):
-            with pytest.raises(SimulationError):
-                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
-            # Identical failing sweep: the success counter gained only
-            # the bias-point factorizations, no AC-point successes.
-            gained = (
-                registry.counter("spice.mna.factorizations") - ok_after
-            )
+        with pytest.raises(SimulationError):
+            ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
+        # Identical failing sweep: the success counter gained only
+        # the bias-point factorizations, no AC-point successes.
+        gained = registry.counter("spice.mna.factorizations") - ok_after
         assert gained == ok_after - ok_before
 
 

@@ -13,6 +13,8 @@ picks one, and the predicted start must keep the branch the trigger
 last jumped to, as the oracle does.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,14 +74,27 @@ def test_every_step_converges(circuits, name):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_verification_emits_no_warning(circuits, name):
+    circuit, t_end, dt = circuits[name]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        MnaSolver(circuit.circuit).transient(t_end, dt)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_agrees_with_unpredicted_where_it_converged(
     circuits, unpredicted_transient, name
 ):
     circuit, t_end, dt = circuits[name]
     states, _, _ = _run(MnaSolver(circuit.circuit), t_end, dt)
-    ref, ref_residuals, ref_exhausted = _run(
-        unpredicted_transient(circuit.circuit), t_end, dt
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref, ref_residuals, ref_exhausted = _run(
+            unpredicted_transient(circuit.circuit), t_end, dt
+        )
+    # The oracle's exhausted steps are reported once, as one warning.
+    assert len(caught) == (1 if ref_exhausted else 0)
     assert states.shape == ref.shape
     # The oracle's unconverged steps are exactly the ones it exhausted.
     assert ref_exhausted == ORACLE_EXHAUSTED[name]

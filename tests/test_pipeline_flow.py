@@ -18,7 +18,6 @@ from repro.estimation import ConstraintSet
 from repro.flow import FlowOptions, SolverOutcome, synthesize
 from repro.instrument import explogging
 from repro.pipeline import ArtifactCache, ParallelOptions, PipelineSession
-from repro.robust.faultinject import inject_faults
 from repro.robust.recovery import (
     OUTCOME_FAILED,
     OUTCOME_SKIPPED,
@@ -48,6 +47,10 @@ begin
   y == a + b;
 end architecture beh;
 """
+
+
+#: an area limit no mapping meets, however often relaxation doubles it
+UNMEETABLE = ConstraintSet(max_area=1e-20)
 
 
 def _tight_area() -> ConstraintSet:
@@ -81,12 +84,13 @@ class TestLadderStageReuse:
     def test_ladder_compiles_once_per_causalization(self):
         """With an alternative causalization, exactly one extra compile."""
         cache = ArtifactCache()
-        with inject_faults("mapper.infeasible"):
-            with pytest.raises(SynthesisError):
-                synthesize(
-                    TWO_SOLVERS,
-                    options=FlowOptions(recovery=True, cache=cache),
-                )
+        with pytest.raises(SynthesisError):
+            synthesize(
+                TWO_SOLVERS,
+                options=FlowOptions(
+                    recovery=True, cache=cache, constraints=UNMEETABLE,
+                ),
+            )
         # Rung 1 tried causalization #1; the source was still parsed
         # once and compiled once per distinct causalization.
         assert cache.stats.stage_misses["frontend"] == 1
@@ -173,12 +177,13 @@ class TestExploreSolvers:
         assert result.estimate.opamps > 0
 
     def test_all_infeasible_raises(self):
-        with inject_faults("mapper.infeasible"):
-            with pytest.raises(SynthesisError, match="explore_solvers"):
-                synthesize(
-                    TWO_SOLVERS,
-                    options=FlowOptions(explore_solvers=True),
-                )
+        with pytest.raises(SynthesisError, match="explore_solvers"):
+            synthesize(
+                TWO_SOLVERS,
+                options=FlowOptions(
+                    explore_solvers=True, constraints=UNMEETABLE,
+                ),
+            )
 
     def test_exploration_shows_in_describe_and_report(self):
         from repro.report import generate_report

@@ -5,6 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.apps import function_generator
+from repro.diagnostics import SimulationError
+from repro.instrument import metrics
 from repro.robust.guards import (
     ILL_CONDITION_THRESHOLD,
     NumericalWarning,
@@ -12,7 +15,8 @@ from repro.robust.guards import (
     condition_estimate,
     singular_suspects,
 )
-from repro.spice.mna import Circuit, MnaSolver, dc
+from repro.spice import elaborate
+from repro.spice.mna import Circuit, MnaSolver, _NewtonSystem, dc
 
 
 class TestConditionEstimate:
@@ -104,3 +108,49 @@ class TestSolverIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error", NumericalWarning)
             MnaSolver(circuit).dc_operating_point()
+
+    def test_exhausted_newton_warns_once_per_analysis(self):
+        # The function generator's Schmitt trigger flips within single
+        # steps, and a few of those Newton solves hit max_iter.
+        result = function_generator.synthesize_function_generator()
+        solver = MnaSolver(elaborate(result.netlist).circuit)
+        newton = solver._newton
+        exhausted_steps = []
+
+        def recording(x0, t, dt, prev, switch_controls, **kwargs):
+            before = solver._exhausted
+            x = newton(x0, t, dt, prev, switch_controls, **kwargs)
+            if solver._exhausted > before:
+                exhausted_steps.append((t, dt, prev, x))
+            return x
+
+        solver._newton = recording
+        registry = metrics()
+        before = registry.counter("spice.mna.newton_exhausted")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solver.transient(5e-4, 2e-6)
+        exhausted = registry.counter("spice.mna.newton_exhausted") - before
+        assert exhausted == len(exhausted_steps) >= 1
+        assert [w.category for w in caught] == [NumericalWarning]
+        t, dt, prev, x = exhausted_steps[0]
+        A, b = _NewtonSystem(solver.stamps, t, dt, prev, prev)(x)
+        residual = np.abs(A @ x - b)
+        worst = solver.unknown_labels[int(residual.argmax())]
+        assert str(caught[0].message) == (
+            f"Newton did not converge in {exhausted} solve(s) of 'main'; "
+            f"the first, at t={t:g} s, stopped at residual "
+            f"{residual.max():.2e} with {worst} the worst unknown; those "
+            "points are best-effort iterates"
+        )
+
+    def test_failed_analysis_raises_without_the_newton_warning(self):
+        # A NaN source exhausts every Newton solve it feeds, but the
+        # located non-finite error is the one report.
+        circuit = Circuit("nan")
+        circuit.vsource("V1", "in", "0", lambda t: float("nan"))
+        circuit.resistor("R1", "in", "0", 1e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericalWarning)
+            with pytest.raises(SimulationError, match="non-finite"):
+                MnaSolver(circuit).dc_operating_point()

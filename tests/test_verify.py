@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.apps import biquad_filter, receiver
+from repro.apps import biquad_filter, power_meter, receiver
+from repro.diagnostics import SimulationError
 from repro.flow import synthesize
 from repro.spice import sin_wave
 from repro.verify import verify_equivalence
@@ -122,5 +123,26 @@ class TestEquivalence:
                 body="y == u;",
             )
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="no quantity output"):
             verify_equivalence(result, outputs=[])
+
+    def test_signal_outputs_are_named(self):
+        result = synthesize(power_meter.VASS_SOURCE)
+        with pytest.raises(SimulationError) as info:
+            verify_equivalence(result)
+        assert str(info.value) == (
+            "design 'power_meter' has no quantity output to compare; its "
+            "outputs are signals (icode, isign, vcode, vsign), which the "
+            "transient check does not probe"
+        )
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, math.nan])
+    def test_nonpositive_tolerance_rejected(self, tolerance):
+        result = synthesize(
+            wrap(
+                "QUANTITY u : IN real; QUANTITY y : OUT real",
+                body="y == u;",
+            )
+        )
+        with pytest.raises(SimulationError, match="must be positive"):
+            verify_equivalence(result, tolerance=tolerance)
