@@ -15,9 +15,9 @@ Engine features:
 * transient analysis by backward-Euler companion models with Newton
   iteration per step (A-stable, no ringing on the switching edges the
   synthesized circuits produce).  Each step's Newton solve starts from
-  the solution extrapolated linearly from the last two accepted ones,
-  so a smooth waveform usually converges in one or two factorizations;
-  a circuit with a Schmitt trigger starts from the previous solution,
+  the solution extrapolated quadratically from the last three accepted
+  ones, so a smooth waveform usually converges in one factorization; a
+  circuit with a Schmitt trigger starts from the previous solution,
   which keeps the trigger on its branch.
 
 Every solver compiles its circuit into a :class:`StampTable` once,
@@ -30,8 +30,11 @@ one analysis and reused from a memo after that; the right-hand side
 in a transient means once per time step, so waveforms must be pure
 functions of ``t``; and only the Newton-linearized
 :class:`SaturatingVcvs` / :class:`FunctionSource` stamps are applied on
-every assembly.  Each Newton iterate is assembled once: the residual
-evaluation that accepts it hands its ``(A, b)`` to the next solve.
+every assembly.  Newton checks its points without assembling: a
+point's residual is the linear matrix times it, minus the right-hand
+side, minus each nonlinear element's value on its own branch row.
+``(A, b)`` is assembled only at a point that gets another solve, so
+every assembly is followed by one factorization.
 DC, transient and AC (:mod:`repro.spice.ac`) all assemble through this
 one table.
 
@@ -652,6 +655,25 @@ class StampTable:
             b[k] += rhs_k
         return A, b
 
+    def residual(
+        self, x: np.ndarray, linear: np.ndarray, rhs: np.ndarray
+    ) -> np.ndarray:
+        """``A x - b`` of the system :meth:`assemble` builds at ``x``,
+        without building it.  A nonlinear stamp's derivative terms
+        cancel on its own branch row ``k``, leaving
+        ``(linear x - rhs)[k] - f``, so only the element values are
+        needed: no derivative, no numeric partial, no matrix copy."""
+        r = linear @ x - rhs
+        if not (self._saturating or self._functions):
+            return r
+        v = x.tolist()
+        v.append(0.0)  # v[-1] is ground
+        for element, k, ci, cj in self._saturating:
+            r[k] -= element.value(v[ci] - v[cj])
+        for element, k, inputs in self._functions:
+            r[k] -= element.value([v[i] for i in inputs])
+        return r
+
     def linearize(self, x: np.ndarray) -> np.ndarray:
         """The DC Jacobian at ``x``, switches in ``x``'s state: the
         small-signal conductance matrix about an operating point."""
@@ -660,7 +682,9 @@ class StampTable:
 
 
 class _NewtonSystem:
-    """Assembles the MNA system of one Newton solve (one ``t``)."""
+    """The MNA system of one Newton solve (one ``t``): ``(A, b)`` at a
+    point that gets a solve, and the residual at any point without
+    assembling."""
 
     def __init__(
         self,
@@ -683,20 +707,20 @@ class _NewtonSystem:
             self._state = table.switch_state(switch_controls)
             self._linear = table.linear(dt, self._state)
 
-    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _linear_at(self, x: np.ndarray) -> np.ndarray:
         if self._follow_iterate:
             state = self._table.switch_state(x)
             if state != self._state:
                 self._state = state
                 self._linear = self._table.linear(self._dt, state)
-        return self._table.assemble(x, self._linear, self._rhs)
+        return self._linear
 
-    def residual(
-        self, x: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, float]:
-        """``(A, b)`` at ``x`` and the residual norm ``max|A x - b|``."""
-        A, b = self(x)
-        return A, b, float(np.abs(A @ x - b).max())
+    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        return self._table.assemble(x, self._linear_at(x), self._rhs)
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """``A x - b`` at ``x``, without assembling ``(A, b)``."""
+        return self._table.residual(x, self._linear_at(x), self._rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -811,19 +835,27 @@ class MnaSolver:
         Newton oscillate between the rails; backtracking on the
         residual norm keeps every accepted step a true improvement.
 
-        Each iterate is assembled once: the residual evaluation that
-        accepts it (the initial guess, the line search's candidate or
-        the fallback step) also yields the ``(A, b)`` the next solve
-        uses.  Runs inside :meth:`_analysis`, which publishes the
-        assembly, factorization and exhausted-solve counts.
+        Every point is checked through :meth:`_NewtonSystem.residual`,
+        which assembles nothing; ``(A, b)`` is assembled only at a point
+        that gets another solve, so a solve assembles exactly as often
+        as it factorizes.  The start's own residual is computed only
+        when a candidate's is not already below ``tol``.  Runs inside
+        :meth:`_analysis`, which publishes the assembly, factorization
+        and exhausted-solve counts.
         """
         x = x0.copy()
         if not x.size:
             return x
         system = _NewtonSystem(self.stamps, t, dt, prev, switch_controls)
-        A, b, residual = system.residual(x)
+
+        def norm(point: np.ndarray) -> float:
+            return float(np.abs(system.residual(point)).max())
+
         backend = self._solver_backend()
+        # The residual norm at ``x``, once a line search needs it.
+        residual: Optional[float] = None
         for _ in range(max_iter):
+            A, b = system(x)
             # The guard boundary owns the singular error (with suspect
             # naming), the success/failure factorization counts, and
             # the once-per-analysis condition estimate.
@@ -839,28 +871,31 @@ class MnaSolver:
             accepted = False
             for _try in range(10):
                 candidate = x + alpha * step
-                cand_A, cand_b, cand_residual = system.residual(candidate)
-                if cand_residual <= residual * (1.0 - 1e-4 * alpha) or (
-                    cand_residual < tol
+                cand_residual = norm(candidate)
+                # ``not <``: a NaN candidate, too, needs the start's
+                # residual, and the comparison below rejects it.
+                if residual is None and not cand_residual < tol:
+                    residual = norm(x)
+                if cand_residual < tol or (
+                    cand_residual <= residual * (1.0 - 1e-4 * alpha)
                 ):
-                    x, A, b = candidate, cand_A, cand_b
-                    residual = cand_residual
+                    x, residual = candidate, cand_residual
                     accepted = True
                     break
                 alpha *= 0.5
             if not accepted:
                 # Take the smallest step anyway to escape flat spots.
                 x = x + alpha * step
-                A, b, residual = system.residual(x)
+                residual = norm(x)
             if residual < tol:
                 return x
         self._exhausted += 1
         if self._first_exhausted is None:
-            worst = int(np.abs(A @ x - b).argmax())
+            r = np.abs(system.residual(x))
             self._first_exhausted = (
                 None if dt is None else t,
-                residual,
-                self.unknown_labels[worst],
+                float(r.max()),
+                self.unknown_labels[int(r.argmax())],
             )
         return x  # best effort; _analysis warns when the analysis ends
 
@@ -923,15 +958,16 @@ class MnaSolver:
         """Backward-Euler transient from t=0.
 
         Each step's Newton solve starts at the solution extrapolated
-        linearly from the last two accepted ones, ``2·x₁ − x₂``; step 1
-        starts at the initial state.  Where a step has one solution,
-        the start changes only how many iterations it takes; the
-        answer moves only within the Newton tolerance.  A
-        function source that reads its own output (a Schmitt trigger)
-        has two inside its hysteresis band, and Newton keeps the one it
-        starts on; an extrapolated start can sit on the other, so a
-        circuit with one starts every step from the previous solution.
-        Switches follow the previous step's solution either way.
+        quadratically from the last three accepted ones, ``3·x₁ − 3·x₂
+        + x₃``; step 2 starts at the linear ``2·x₁ − x₀`` and step 1 at
+        the initial state.  Where a step has one solution, the start
+        changes only how many iterations it takes; the answer moves
+        only within the Newton tolerance.  A function source that reads
+        its own output (a Schmitt trigger) has two inside its
+        hysteresis band, and Newton keeps the one it starts on; an
+        extrapolated start can sit on the other, so a circuit with one
+        starts every step from the previous solution.  Switches follow
+        the previous step's solution either way.
         """
         if dt <= 0 or t_end <= 0:
             raise SimulationError("dt and t_end must be positive")
@@ -955,19 +991,23 @@ class MnaSolver:
                     x[i] = element.ic
                 elif j >= 0 and i < 0:
                     x[j] = -element.ic
-        prev = x.copy()
-        # With only the initial state accepted, step 1 starts there.
-        prev_prev = prev
-        extrapolate = not self.stamps.hysteretic
+        # The last three accepted solutions, the latest first.
+        x1 = x2 = x3 = x.copy()
+        hysteretic = self.stamps.hysteretic
         with self._analysis():
             for step in range(n_steps):
                 t = (step + 1) * dt
-                start = 2.0 * prev - prev_prev if extrapolate else prev
-                x = self._newton(start, t, dt, prev, switch_controls=prev)
+                if hysteretic or step == 0:
+                    start = x1
+                elif step == 1:
+                    start = 2.0 * x1 - x2
+                else:
+                    start = 3.0 * (x1 - x2) + x3
+                x = self._newton(start, t, dt, x1, switch_controls=x1)
                 self._check_solution_finite(x, t=t)
                 times[step] = t
                 states[step] = x
-                prev_prev, prev = prev, x.copy()
+                x1, x2, x3 = x.copy(), x1, x2
         voltages = {}
         for name in names:
             index = self._index(name)

@@ -1,16 +1,20 @@
 """Predicted Newton starts against the previous-solution start.
 
 ``MnaSolver.transient`` starts each step's Newton solve from the
-solution extrapolated linearly from the last two accepted ones.  The
-oracle, the ``unpredicted_transient`` fixture, starts from the previous
-step's solution instead.  Where a step has one solution, both solve the
-same system to the same tolerance, so wherever the oracle converged the
-two must agree; and the predicted start must converge at every step of
-the Section-6 verification designs and the Figure-8 receiver transient,
-where the oracle leaves some steps unconverged.  Where a step has two
-solutions, a Schmitt trigger inside its hysteresis band, the start
-picks one, and the predicted start must keep the branch the trigger
-last jumped to, as the oracle does.
+solution extrapolated quadratically from the last three accepted ones.
+The oracle, the ``unpredicted_transient`` fixture, starts from the
+previous step's solution instead.  Where a step has one solution, both
+solve the same system to the same tolerance, so wherever the oracle
+converged the two must agree; and the predicted start must converge
+at every step of the Section-6 verification designs and the Figure-8
+receiver transient, where the oracle leaves some steps unconverged.
+Where a step has two solutions, a Schmitt trigger inside its
+hysteresis band, the start picks one, and the predicted start must
+keep the branch the trigger last jumped to, as the oracle does.
+
+Newton checks each point's residual without assembling the system, so
+the assembly-free residual must equal the assembled one, and a
+transient must assemble exactly once per factorization.
 """
 
 import warnings
@@ -22,8 +26,9 @@ from repro.apps import function_generator
 from repro.instrument import metrics
 from repro.library import default_library
 from repro.spice import elaborate, pwl_wave
-from repro.spice.mna import MnaSolver, _NewtonSystem
+from repro.spice.mna import Circuit, MnaSolver, _NewtonSystem
 from repro.synth.netlist import Netlist
+from tests.test_mna_stamps import every_element
 
 #: the Newton tolerance, on both the step and the residual
 TOL = 1e-9
@@ -55,7 +60,9 @@ def _run(solver, t_end, dt):
     solver.transient(t_end, dt)
     exhausted = registry.counter("spice.mna.newton_exhausted") - before
     residuals = [
-        _NewtonSystem(solver.stamps, t, dt, prev, prev).residual(x)[2]
+        np.abs(
+            _NewtonSystem(solver.stamps, t, dt, prev, prev).residual(x)
+        ).max()
         for t, prev, x in steps
     ]
     states = np.array([x for _, _, x in steps])
@@ -106,6 +113,76 @@ def test_agrees_with_unpredicted_where_it_converged(
     compared = converged & np.concatenate(([True], converged[:-1]))
     assert (~compared).sum() <= 2 * ref_exhausted
     assert np.abs(states - ref)[compared].max() < TOL
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_one_assembly_per_factorization(circuits, name):
+    circuit, t_end, dt = circuits[name]
+    registry = metrics()
+    keys = ("spice.mna.assemblies", "spice.mna.factorizations")
+    before = [registry.counter(key) for key in keys]
+    MnaSolver(circuit.circuit).transient(t_end, dt)
+    assemblies, factorizations = (
+        registry.counter(key) - count for key, count in zip(keys, before)
+    )
+    assert assemblies == factorizations >= int(round(t_end / dt))
+
+
+def test_quadratic_source_is_predicted_exactly():
+    # A divider's solution is linear in its source, so under a source
+    # quadratic in t, zero at t=0 like the initial state, the quadratic
+    # start is exact from step 3 on: the first solve lands on it, and
+    # the step takes one factorization.  The linear start of step 2
+    # misses by the second difference.
+    b, c = 2e3, 5e5
+    dt, n_steps = 1e-5, 40
+    circuit = Circuit("divider")
+    circuit.vsource("V1", "in", "0", lambda t: b * t + c * t * t)
+    circuit.resistor("R1", "in", "out", 1e3)
+    circuit.resistor("R2", "out", "0", 1e3)
+    solver = MnaSolver(circuit)
+    steps = []
+    newton = solver._newton
+
+    def recording(x0, t, step_dt, prev, switch_controls, **kwargs):
+        before = solver._guard.factorizations
+        x = newton(x0, t, step_dt, prev, switch_controls, **kwargs)
+        steps.append((x0, x, solver._guard.factorizations - before))
+        return x
+
+    solver._newton = recording
+    solver.transient(n_steps * dt, dt)
+    assert len(steps) == n_steps
+    vin = solver._index("in")
+    start, x, _ = steps[1]
+    assert x[vin] - start[vin] == pytest.approx(2 * c * dt * dt, rel=1e-6)
+    for start, x, factorizations in steps[2:]:
+        assert np.abs(x - start).max() < 1e-12
+        assert factorizations == 1
+
+
+@pytest.mark.parametrize("name", ["every_element", "receiver"])
+def test_residual_matches_the_assembled_system(circuits, name):
+    circuit = (
+        every_element() if name == "every_element"
+        else circuits["receiver"][0].circuit
+    )
+    solver = MnaSolver(circuit)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.uniform(-1.5, 1.5, solver._size)
+        prev = rng.uniform(-1.5, 1.5, solver._size)
+        t = float(rng.uniform(0.0, 2e-3))
+        for dt in (None, 1e-6, 3.7e-5):
+            step_prev = None if dt is None else prev
+            system = _NewtonSystem(solver.stamps, t, dt, step_prev, step_prev)
+            A, b = system(x)
+            assembled = A @ x - b
+            free = system.residual(x)
+            norm = np.abs(assembled).max()
+            assert np.abs(free).max() == pytest.approx(norm, rel=1e-12)
+            # Row by row, too: the nonlinear rows seldom hold the max.
+            assert np.abs(free - assembled).max() <= 1e-12 * norm
 
 
 def _schmitt_trigger(wave):
