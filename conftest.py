@@ -424,6 +424,26 @@ def unpredicted_transient():
     return UnpredictedSolver
 
 
+@pytest.fixture
+def refactorizing_transient():
+    """The reference solver the chord-step tests compare to.
+
+    An :class:`~repro.spice.mna.MnaSolver` that drops the kept
+    factorization before every Newton solve, so no transient step takes
+    a chord step: each one assembles and factorizes at its start and
+    iterates plain Newton, the way every step did before factorizations
+    were reused.  Starts, DC and AC solves are unchanged.
+    """
+    from repro.spice.mna import MnaSolver
+
+    class RefactorizingSolver(MnaSolver):
+        def _newton(self, *args, **kwargs):
+            self._kept = None
+            return super()._newton(*args, **kwargs)
+
+    return RefactorizingSolver
+
+
 _SQUARER_SOURCE = """
 ENTITY squarer IS
 PORT (QUANTITY u : IN real; QUANTITY y : OUT real);

@@ -24,11 +24,13 @@ one :class:`LinearSolver` interface with three implementations:
 The guards live at this boundary, in :class:`AnalysisGuard`, instead of
 being duplicated per call site: the singular error message (assembled
 by a ``repro.robust.guards`` helper), the once-per-analysis condition
-estimate, and the factorization counts.  The guard counts successful
-factorizations, and the engine publishes that count on
-``spice.mna.factorizations`` once per analysis, when the analysis
-ends; each failure lands on ``spice.mna.factorization_failures`` at
-once.
+estimate, and the factorization counts.  :func:`guarded_inverse`, the
+inverse a transient keeps for its chord steps, is a guarded solve
+against the identity, so it is counted and checked like any other.
+The guard counts successful factorizations, and the engine publishes
+that count on ``spice.mna.factorizations`` once per analysis, when the
+analysis ends; each failure lands on
+``spice.mna.factorization_failures`` at once.
 
 Backend selection is the code's, not the caller's: each analysis asks
 :func:`resolve_backend` with its unknown count and grid size, which
@@ -239,3 +241,17 @@ def guarded_solve(
     guard.factorizations += 1
     guard.check_condition(A)
     return x
+
+
+def guarded_inverse(
+    backend: LinearSolver,
+    A: np.ndarray,
+    guard: AnalysisGuard,
+    where: str = "",
+) -> np.ndarray:
+    """``A⁻¹`` through the guard boundary: a :func:`guarded_solve`
+    against the identity, so it is one counted factorization with the
+    same singular error and condition check as any solve."""
+    return guarded_solve(
+        backend, A, np.eye(A.shape[0], dtype=A.dtype), guard, where=where
+    )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, ClassVar, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -39,17 +39,33 @@ class OutputComparison:
     port: str
     rms_error: float
     max_error: float
+    #: the behavioral trace's peak magnitude
     reference_scale: float
 
     @property
+    def floored(self) -> bool:
+        """Whether the reference peaks below
+        :attr:`EquivalenceReport.scale_floor`, which then stands in for
+        its scale."""
+        return self.reference_scale < EquivalenceReport.scale_floor
+
+    @property
     def relative_rms(self) -> float:
-        return self.rms_error / max(self.reference_scale, 1e-12)
+        return self.rms_error / max(
+            self.reference_scale, EquivalenceReport.scale_floor
+        )
 
     def describe(self) -> str:
+        if self.floored:
+            scale = (
+                f"{EquivalenceReport.scale_floor:.3f} V floor; the "
+                f"reference peaks at {self.reference_scale:.3f} V"
+            )
+        else:
+            scale = f"{self.reference_scale:.3f} V scale"
         return (
             f"{self.port}: rms error {self.rms_error*1e3:.2f} mV "
-            f"({self.relative_rms*100:.1f} % of "
-            f"{self.reference_scale:.3f} V scale), max "
+            f"({self.relative_rms*100:.1f} % of {scale}), max "
             f"{self.max_error*1e3:.2f} mV"
         )
 
@@ -61,6 +77,10 @@ class EquivalenceReport:
     comparisons: List[OutputComparison] = field(default_factory=list)
     tolerance: float = 0.05
     settle_fraction: float = 0.1
+    #: the smallest scale (V) an rms error is judged against, so an
+    #: output that barely moves is not judged against its own ~0 V
+    #: peak; below every swing the Section-6 checks compare (0.37 V up)
+    scale_floor: ClassVar[float] = 0.1
 
     @property
     def passed(self) -> bool:
@@ -89,9 +109,10 @@ def verify_equivalence(
     The first ``settle_fraction`` of both traces is discarded (op-amp
     macromodels and integrator companions need a few steps to bias up),
     then per-output RMS deviation is measured relative to the
-    behavioral trace's scale.  Raises :class:`SimulationError` when
-    ``tolerance`` is not positive or there is no quantity output to
-    compare.
+    behavioral trace's peak magnitude, or to
+    :attr:`EquivalenceReport.scale_floor` when that is larger.  Raises
+    :class:`SimulationError` when ``tolerance`` is not positive or there
+    is no quantity output to compare.
     """
     if not tolerance > 0:
         raise SimulationError(
@@ -138,15 +159,12 @@ def verify_equivalence(
         n = min(len(reference), len(measured))
         reference, measured = reference[:n], measured[:n]
         error = measured - reference
-        scale = float(np.max(np.abs(reference)))
-        if scale < 1e-9:
-            scale = max(float(np.max(np.abs(measured))), 1e-9)
         report.comparisons.append(
             OutputComparison(
                 port=port,
                 rms_error=float(np.sqrt(np.mean(error**2))),
                 max_error=float(np.max(np.abs(error))),
-                reference_scale=scale,
+                reference_scale=float(np.max(np.abs(reference))),
             )
         )
     return report

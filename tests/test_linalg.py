@@ -20,9 +20,11 @@ from repro.spice import linalg as linalg_module
 from repro.spice.ac import ac_sweep
 from repro.spice.linalg import (
     HAVE_SCIPY,
+    AnalysisGuard,
     BatchedSolver,
     DenseSolver,
     SparseSolver,
+    guarded_inverse,
     resolve_backend,
 )
 from repro.spice.mna import Circuit, simulate_transient
@@ -200,6 +202,41 @@ class TestFactorizationCounters:
         assert gained == ok_after - ok_before
 
 
+class TestGuardedInverse:
+    """The inverse a transient keeps goes through the guard boundary."""
+
+    def _guard(self):
+        return AnalysisGuard("MNA", "inverse", ["v(a)", "v(b)"], "")
+
+    def test_counts_one_factorization(self):
+        guard = self._guard()
+        A = np.array([[2.0, 1.0], [1.0, 3.0]])
+        inverse = guarded_inverse(DenseSolver(), A, guard)
+        assert np.allclose(inverse @ A, np.eye(2))
+        assert guard.factorizations == 1
+        assert guard.condition_checked
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_singular_matrix_raises_the_located_error(self, backend):
+        if backend == "sparse" and not HAVE_SCIPY:
+            pytest.skip("needs scipy")
+        solver = DenseSolver() if backend == "dense" else SparseSolver()
+        guard = self._guard()
+        registry = metrics()
+        before = registry.counter("spice.mna.factorization_failures")
+        with pytest.raises(
+            SimulationError, match=r"singular MNA matrix at t=1e-06 s"
+        ):
+            guarded_inverse(
+                solver, np.ones((2, 2)), guard, where=" at t=1e-06 s"
+            )
+        assert guard.factorizations == 0
+        assert (
+            registry.counter("spice.mna.factorization_failures")
+            == before + 1
+        )
+
+
 class TestFactorizationEvents:
     def test_transient_publishes_one_event_with_the_whole_count(self):
         registry = metrics()
@@ -209,7 +246,8 @@ class TestFactorizationEvents:
             bus.subscribe(seen.append)
             simulate_transient(rc_ladder(), t_end=1e-5, dt=1e-6)
         counted = registry.counter("spice.mna.factorizations") - before
-        assert counted >= 10  # at least one per step
+        # Step 1 factorizes; later steps start from a kept factorization.
+        assert counted >= 1
         published = [
             event.payload for event in seen
             if event.category == CATEGORY_METRIC

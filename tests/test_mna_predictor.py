@@ -14,7 +14,16 @@ keep the branch the trigger last jumped to, as the oracle does.
 
 Newton checks each point's residual without assembling the system, so
 the assembly-free residual must equal the assembled one, and a
-transient must assemble exactly once per factorization.
+transient must assemble only for a factorization.
+
+A transient step first takes chord steps with the factorization an
+earlier step kept.  The oracle, the ``refactorizing_transient``
+fixture, drops it before every solve, so each step assembles and
+factorizes as before; both accept a point only on its residual, so
+they must agree to within the tolerance's effect on the voltages.  A
+switch flip changes the linear matrix and must force a
+refactorization, and a hysteretic circuit must run exactly as the
+oracle does.
 """
 
 import warnings
@@ -25,7 +34,7 @@ import pytest
 from repro.apps import function_generator
 from repro.instrument import metrics
 from repro.library import default_library
-from repro.spice import elaborate, pwl_wave
+from repro.spice import elaborate, pwl_wave, sin_wave
 from repro.spice.mna import Circuit, MnaSolver, _NewtonSystem
 from repro.synth.netlist import Netlist
 from tests.test_mna_stamps import every_element
@@ -115,8 +124,32 @@ def test_agrees_with_unpredicted_where_it_converged(
     assert np.abs(states - ref)[compared].max() < TOL
 
 
+@pytest.fixture
+def solve_log(monkeypatch):
+    """The Newton solves and the inversions ``repro.spice.mna`` asks
+    the guard boundary for, counted by kind."""
+    from repro.spice import mna
+
+    counts = {"solves": 0, "inversions": 0}
+
+    def counting(name, kind):
+        call = getattr(mna, name)
+
+        def counted(*args, **kwargs):
+            counts[kind] += 1
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(mna, name, counted)
+
+    counting("guarded_solve", "solves")
+    counting("guarded_inverse", "inversions")
+    return counts
+
+
 @pytest.mark.parametrize("name", NAMES)
-def test_one_assembly_per_factorization(circuits, name):
+def test_one_assembly_per_factorization(circuits, solve_log, name):
+    # Every assembly feeds one Newton solve, and every other
+    # factorization inverts a kept matrix, each at most once.
     circuit, t_end, dt = circuits[name]
     registry = metrics()
     keys = ("spice.mna.assemblies", "spice.mna.factorizations")
@@ -125,15 +158,18 @@ def test_one_assembly_per_factorization(circuits, name):
     assemblies, factorizations = (
         registry.counter(key) - count for key, count in zip(keys, before)
     )
-    assert assemblies == factorizations >= int(round(t_end / dt))
+    assert assemblies == solve_log["solves"] >= 1
+    assert factorizations == assemblies + solve_log["inversions"]
+    assert 1 <= solve_log["inversions"] <= assemblies
 
 
 def test_quadratic_source_is_predicted_exactly():
     # A divider's solution is linear in its source, so under a source
     # quadratic in t, zero at t=0 like the initial state, the quadratic
-    # start is exact from step 3 on: the first solve lands on it, and
-    # the step takes one factorization.  The linear start of step 2
-    # misses by the second difference.
+    # start is exact from step 3 on: its residual is already below the
+    # tolerance, and the step takes no factorization.  The linear start
+    # of step 2 misses by the second difference; one chord step with
+    # step 1's inverted matrix, exact for a linear circuit, closes it.
     b, c = 2e3, 5e5
     dt, n_steps = 1e-5, 40
     circuit = Circuit("divider")
@@ -153,12 +189,114 @@ def test_quadratic_source_is_predicted_exactly():
     solver._newton = recording
     solver.transient(n_steps * dt, dt)
     assert len(steps) == n_steps
+    assert [count for _, _, count in steps[:2]] == [1, 1]
     vin = solver._index("in")
     start, x, _ = steps[1]
     assert x[vin] - start[vin] == pytest.approx(2 * c * dt * dt, rel=1e-6)
     for start, x, factorizations in steps[2:]:
         assert np.abs(x - start).max() < 1e-12
-        assert factorizations == 1
+        assert factorizations == 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_chord_agrees_with_refactorizing(
+    circuits, refactorizing_transient, name
+):
+    circuit, t_end, dt = circuits[name]
+    registry = metrics()
+    sims, counts = [], []
+    for cls in (MnaSolver, refactorizing_transient):
+        before = registry.counter("spice.mna.factorizations")
+        sims.append(cls(circuit.circuit).transient(t_end, dt))
+        counts.append(registry.counter("spice.mna.factorizations") - before)
+    sim, ref = sims
+    assert sim.voltages.keys() == ref.voltages.keys()
+    for node in ref.voltages:
+        assert np.abs(sim[node] - ref[node]).max() < 1e-8, node
+    # The oracle factorizes at least once per step, the chord seldom.
+    assert counts[1] >= int(round(t_end / dt)) > 5 * counts[0]
+
+
+def test_switch_flip_forces_a_refactorization():
+    # The switches' control is a sine, so they flip many times; every
+    # flip changes the step's linear matrix, and the kept factorization
+    # (assembled on the old one) must not serve that step: it begins by
+    # assembling, with no chord step before.
+    circuit = every_element(feedback=False)
+    solver = MnaSolver(circuit)
+    stamps = solver.stamps
+    assert not stamps.hysteretic
+    steps = []
+    for name in ("assemble", "residual"):
+        def logged(*args, _call=getattr(stamps, name), _name=name):
+            steps[-1][1].append(_name)
+            return _call(*args)
+
+        setattr(stamps, name, logged)
+    newton = solver._newton
+
+    def recording(x0, t, step_dt, prev, switch_controls, **kwargs):
+        steps.append((stamps.switch_state(switch_controls), []))
+        return newton(x0, t, step_dt, prev, switch_controls, **kwargs)
+
+    solver._newton = recording
+    solver.transient(2e-3, 1e-5)
+    flips = [
+        events
+        for (state, events), (last, _) in zip(steps[1:], steps)
+        if state != last
+    ]
+    assert len(flips) >= 4
+    assert all(events[0] == "assemble" for events in flips)
+    # Elsewhere the kept factorization serves most steps.
+    reused = sum(1 for _, events in steps if "assemble" not in events)
+    assert reused > len(steps) // 2
+    assert solver._kept is None  # dropped when the analysis ended
+
+
+def test_exhausted_solve_drops_the_kept_factorization():
+    solver = MnaSolver(every_element(feedback=False))
+    x = np.zeros(solver._size)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with solver._analysis():
+            x = solver._newton(x, 1e-5, 1e-5, x, x)
+            assert solver._kept is not None
+            far = np.full(solver._size, 5.0)
+            solver._newton(far, 2e-5, 1e-5, x, x, max_iter=1)
+            assert solver._kept is None
+    assert len(caught) == 1
+    assert "converge in 1 solve(s)" in str(caught[0].message)
+
+
+def test_hysteretic_circuit_matches_refactorizing(refactorizing_transient):
+    # The Schmitt trigger of ``test_schmitt_trigger_is_bistable``: it
+    # never reuses a factorization, so it runs bit-identical to the
+    # oracle, with the same six unconverged steps.
+    from tests.test_netlister_components import single_instance_netlist
+
+    netlist = single_instance_netlist(
+        "schmitt_trigger", params={"threshold": 0.0, "hysteresis": 0.3},
+    )
+    circuit = elaborate(netlist, input_waves={"in0": sin_wave(1.0, 500.0)})
+    registry = metrics()
+    keys = ("spice.mna.factorizations", "spice.mna.newton_exhausted")
+    results = []
+    for cls in (MnaSolver, refactorizing_transient):
+        solver = cls(circuit.circuit)
+        assert solver.stamps.hysteretic
+        before = [registry.counter(key) for key in keys]
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            sim = solver.transient(4e-3, 2e-6)
+        results.append((sim, [
+            registry.counter(key) - count for key, count in zip(keys, before)
+        ]))
+    (sim, counts), (ref, ref_counts) = results
+    for node in ref.voltages:
+        assert np.array_equal(sim[node], ref[node]), node
+    assert counts == ref_counts
+    assert counts[1] == 6
 
 
 @pytest.mark.parametrize("name", ["every_element", "receiver"])

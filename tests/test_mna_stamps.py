@@ -1,13 +1,16 @@
 """The compiled stamp table against a per-element stamping oracle.
 
-The oracle below is the element-by-element ``isinstance`` ladder (and
-the Newton loop around it) that the MNA and AC engines assembled with
-before stamps were compiled.  Every comparison is exact
-(``np.array_equal``): the table sums each matrix entry in the same
-element order, so nothing may differ, not even in the last bit.
+The oracle below is the element-by-element ``isinstance`` ladder that
+the MNA and AC engines assembled with before stamps were compiled.
+:class:`LadderSolver` swaps it in for the table's stamping only (the
+assembled system and the residual), so both run the one Newton loop,
+chord steps from the kept factorization included.  Every comparison is
+exact (``np.array_equal``): the table sums each matrix entry in the
+same element order, so nothing may differ, not even in the last bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from repro.instrument import metrics
 from repro.robust.guards import NumericalWarning
 from repro.spice import dc, elaborate, sin_wave
 from repro.spice.ac import AcSolver, ac_sweep
-from repro.spice.linalg import AnalysisGuard, guarded_solve, resolve_backend
+from repro.spice.linalg import AnalysisGuard, resolve_backend
 from repro.spice.mna import (
     Capacitor,
     Circuit,
@@ -55,8 +58,10 @@ def _voltage(solver, x, node):
     return 0.0 if index < 0 else float(x[index])
 
 
-def ladder_assemble(solver, x, t, dt, prev, switch_controls):
-    """One MNA system, stamped element by element."""
+def ladder_assemble(solver, x, t, dt, prev, switch_controls, nonlinear=True):
+    """One MNA system, stamped element by element; with ``nonlinear``
+    false, without the Newton linearization of the nonlinear elements
+    (their branch stamps stay)."""
     idx = solver._index
     size = solver._size
     A = np.zeros((size, size))
@@ -134,24 +139,28 @@ def ladder_assemble(solver, x, t, dt, prev, switch_controls):
             i, j = idx(element.npos), idx(element.nneg)
             ci, cj = idx(element.cpos), idx(element.cneg)
             k = element.branch_index
-            vc = (0.0 if ci < 0 else x[ci]) - (0.0 if cj < 0 else x[cj])
-            f = element.value(vc)
-            df = element.derivative(vc)
             _stamp(A, i, k, 1.0)
             _stamp(A, j, k, -1.0)
             _stamp(A, k, i, 1.0)
             _stamp(A, k, j, -1.0)
+            if not nonlinear:
+                continue
+            vc = (0.0 if ci < 0 else x[ci]) - (0.0 if cj < 0 else x[cj])
+            f = element.value(vc)
+            df = element.derivative(vc)
             _stamp(A, k, ci, -df)
             _stamp(A, k, cj, df)
             b[k] += f - df * vc
         elif isinstance(element, FunctionSource):
             out = idx(element.nout)
             k = element.branch_index
+            _stamp(A, out, k, 1.0)
+            _stamp(A, k, out, 1.0)
+            if not nonlinear:
+                continue
             values = [_voltage(solver, x, n) for n in element.inputs]
             f = element.value(values)
             grads = element.partials(values)
-            _stamp(A, out, k, 1.0)
-            _stamp(A, k, out, 1.0)
             rhs = f
             for node, grad in zip(element.inputs, grads):
                 _stamp(A, k, idx(node), -grad)
@@ -160,6 +169,26 @@ def ladder_assemble(solver, x, t, dt, prev, switch_controls):
         else:  # pragma: no cover - the oracle covers every element
             raise AssertionError(type(element).__name__)
     return A, b
+
+
+def ladder_residual(solver, x, t, dt, prev, switch_controls):
+    """``A x - b`` of the ladder's system at ``x``: the linear stamps
+    times ``x``, less the sources, less each nonlinear element's value
+    on its own branch row."""
+    A, b = ladder_assemble(
+        solver, x, t, dt, prev, switch_controls, nonlinear=False
+    )
+    r = A @ x - b
+    for element in solver.circuit.elements:
+        if isinstance(element, SaturatingVcvs):
+            vc = _voltage(solver, x, element.cpos) - _voltage(
+                solver, x, element.cneg
+            )
+            r[element.branch_index] -= element.value(vc)
+        elif isinstance(element, FunctionSource):
+            values = [_voltage(solver, x, n) for n in element.inputs]
+            r[element.branch_index] -= element.value(values)
+    return r
 
 
 def ladder_ac_parts(solver: AcSolver, bias):
@@ -185,48 +214,27 @@ def ladder_ac_parts(solver: AcSolver, bias):
     return G, C, b
 
 
+class LadderSystem(_NewtonSystem):
+    """A Newton solve's system, stamped per element by the ladder."""
+
+    def __init__(self, solver, t, dt, prev, switch_controls):
+        super().__init__(solver.stamps, t, dt, prev, switch_controls)
+        self._ladder = (solver, t, dt, prev, switch_controls)
+
+    def __call__(self, x):
+        solver, *args = self._ladder
+        return ladder_assemble(solver, x, *args)
+
+    def residual(self, x):
+        solver, *args = self._ladder
+        return ladder_residual(solver, x, *args)
+
+
 class LadderSolver(MnaSolver):
-    """An :class:`MnaSolver` whose Newton loop stamps per element."""
+    """An :class:`MnaSolver` whose Newton systems stamp per element."""
 
-    def _ladder_residual(self, x, t, dt, prev, switch_controls):
-        A, b = ladder_assemble(self, x, t, dt, prev, switch_controls)
-        return float(np.max(np.abs(A @ x - b))) if x.size else 0.0
-
-    def _newton(self, x0, t, dt, prev, switch_controls, max_iter=80,
-                tol=1e-9):
-        x = x0.copy()
-        if not x.size:
-            return x
-        args = (t, dt, prev, switch_controls)
-        residual = self._ladder_residual(x, *args)
-        backend = self._solver_backend()
-        for _ in range(max_iter):
-            A, b = ladder_assemble(self, x, *args)
-            x_new = guarded_solve(
-                backend, A, b, self._guard, where=f" at t={t:g} s"
-            )
-            step = x_new - x
-            if float(np.max(np.abs(step))) < tol:
-                return x_new
-            alpha = 1.0
-            accepted = False
-            for _try in range(10):
-                candidate = x + alpha * step
-                cand_residual = self._ladder_residual(candidate, *args)
-                if cand_residual <= residual * (1.0 - 1e-4 * alpha) or (
-                    cand_residual < tol
-                ):
-                    x = candidate
-                    residual = cand_residual
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                x = x + alpha * step
-                residual = self._ladder_residual(x, *args)
-            if residual < tol:
-                return x
-        return x
+    def _system(self, t, dt, prev, switch_controls):
+        return LadderSystem(self, t, dt, prev, switch_controls)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +242,13 @@ class LadderSolver(MnaSolver):
 # ---------------------------------------------------------------------------
 
 
-def every_element() -> Circuit:
-    """One circuit with every element type and the stamping edge cases."""
+def every_element(feedback: bool = True) -> Circuit:
+    """One circuit with every element type and the stamping edge cases.
+
+    Its function source reads its own output, which makes the circuit
+    :attr:`~repro.spice.mna.StampTable.hysteretic`; ``feedback=False``
+    drops that input (and the circuit's flag) and keeps everything else.
+    """
     c = Circuit("every element")
     c.vsource("VIN", "in", "GND", sin_wave(0.6, 1e3))
     c.vsource("VCTL", "ctl", "0", sin_wave(1.0, 2e3))
@@ -255,8 +268,11 @@ def every_element() -> Circuit:
     c.resistor("R5", "amp", "0", 1e4)
     # Inputs: an ordinary node, ground, the output itself (feedback)
     # and the same node twice.
+    inputs = ["buf", "0", "fx", "mid", "mid"]
+    if not feedback:
+        inputs[2] = "0"
     c.function_source(
-        "F1", "fx", ["buf", "0", "fx", "mid", "mid"],
+        "F1", "fx", inputs,
         lambda a, g, y, m1, m2: 0.3 * math.tanh(a + m1 * m2) - 0.1 * y + g,
     )
     c.resistor("R6", "fx", "0", 1e4)
@@ -300,6 +316,18 @@ class TestAssembly:
                 A_ref, b_ref = ladder_assemble(solver, x, t, dt, prev, prev)
                 assert np.array_equal(A, A_ref)
                 assert np.array_equal(b, b_ref)
+
+    def test_residual_matches_ladder(self, solver):
+        for x, prev, t in self._states(solver, 4):
+            for dt in (None, 1e-6, 3.7e-5):
+                step_prev = None if dt is None else prev
+                system = _NewtonSystem(
+                    solver.stamps, t, dt, step_prev, step_prev
+                )
+                expected = ladder_residual(
+                    solver, x, t, dt, step_prev, step_prev
+                )
+                assert np.array_equal(system.residual(x), expected)
 
     def test_capacitor_initial_conditions_match_ladder(self, solver):
         # With no previous step the capacitor companions use ``ic``.
@@ -353,9 +381,16 @@ class TestAnalyses:
         _assert_same(_transient_pair(every_element(), 2e-3, 1e-5))
 
     def test_every_element_dc_matches_ladder(self):
-        op = MnaSolver(every_element()).dc_operating_point()
-        ref = LadderSolver(every_element()).dc_operating_point()
+        # The same Newton loop reports the same unconverged solves, too.
+        reports = []
+        for cls in (MnaSolver, LadderSolver):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reports.append(cls(every_element()).dc_operating_point())
+            reports.append([str(w.message) for w in caught])
+        op, messages, ref, ref_messages = reports
         assert op == ref
+        assert messages == ref_messages
 
     @pytest.mark.parametrize(
         "name", ["receiver", "biquad", "squarer", "figure8"]

@@ -8,7 +8,11 @@ from repro.apps import biquad_filter, power_meter, receiver
 from repro.diagnostics import SimulationError
 from repro.flow import synthesize
 from repro.spice import sin_wave
-from repro.verify import verify_equivalence
+from repro.verify import (
+    EquivalenceReport,
+    OutputComparison,
+    verify_equivalence,
+)
 
 
 def wrap(ports, decls="", body=""):
@@ -100,6 +104,44 @@ class TestEquivalence:
         text = report.describe()
         assert "EQUIVALENT" in text
         assert "y:" in text
+
+    def test_output_without_swing_is_judged_against_the_floor(self):
+        # A constant zero input gives a reference that never moves:
+        # its error is judged against the floor, not against ~0 V.
+        result = synthesize(
+            wrap(
+                "QUANTITY u : IN real; QUANTITY y : OUT real",
+                body="y == 2.0 * u;",
+            )
+        )
+        report = verify_equivalence(
+            result, inputs={"u": lambda t: 0.0}, t_end=1e-3
+        )
+        (comparison,) = report.comparisons
+        assert comparison.reference_scale < 1e-9
+        assert comparison.floored
+        assert comparison.relative_rms == pytest.approx(
+            comparison.rms_error / EquivalenceReport.scale_floor
+        )
+        assert "% of 0.100 V floor; the reference peaks at 0.000 V)" in (
+            report.describe()
+        )
+        assert report.passed, report.describe()
+
+    def test_scale_above_the_floor_is_unchanged(self):
+        comparison = OutputComparison(
+            port="y", rms_error=0.01, max_error=0.02, reference_scale=0.42
+        )
+        assert not comparison.floored
+        assert comparison.relative_rms == 0.01 / 0.42
+        assert comparison.describe() == (
+            "y: rms error 10.00 mV (2.4 % of 0.420 V scale), max 20.00 mV"
+        )
+        below = OutputComparison(
+            port="y", rms_error=0.01, max_error=0.02, reference_scale=0.05
+        )
+        assert below.floored
+        assert below.relative_rms == 0.01 / EquivalenceReport.scale_floor
 
     def test_deviation_detected(self):
         """Tampering with the netlist must be caught."""
