@@ -6,18 +6,23 @@ applications that exercise distinct circuit classes and reports the
 spec-vs-circuit deviation for each — the reproduction's functional
 acceptance gate.
 
+The Figure-8 receiver transient (the paper's clipping run, driven at
+1 V) is timed here as well, so all four inputs of the
+``verify_transient`` workload have their work counters gated.
+
 Each test dumps its metrics through the ``bench_metrics`` fixture, and
 ``benchmarks/baselines/test_verification_*.json`` pin the simulator's
-work counters: factorizations, Newton assemblies and exhausted Newton
-solves.  The designs are synthesized by a module fixture, before the
-fixture resets the registry, so a dump counts the verification alone.
+work counters: residual evaluations, factorizations, Newton assemblies
+and exhausted Newton solves.  The designs are synthesized by a module
+fixture, before the fixture resets the registry, so a dump counts the
+verification alone.
 """
 
 import pytest
 
 from repro.apps import biquad_filter, receiver
 from repro.flow import synthesize
-from repro.spice import sin_wave
+from repro.spice import elaborate, sin_wave, waveform
 from repro.verify import verify_equivalence
 
 from conftest import banner
@@ -88,3 +93,22 @@ def test_verification_nonlinear(benchmark, designs, bench_metrics):
     banner("Verification: nonlinear design (multiplier core)")
     print(report.describe())
     assert report.passed
+
+
+def test_verification_figure8(benchmark, designs, bench_metrics):
+    netlist = designs["receiver"].netlist
+
+    def run():
+        circuit = elaborate(netlist, input_waves={
+            "line": sin_wave(1.0, 1e3), "local": lambda t: 0.1,
+        })
+        out = circuit.output_nodes["earph"]
+        return circuit.transient(2e-3, 2e-6, probes=[out])[out]
+
+    earph = benchmark.pedantic(run, rounds=1, iterations=1)
+    banner("Verification: Figure-8 receiver transient (output clipping)")
+    clip = waveform.detect_clipping(earph)
+    print(f"v(9) clipped: {clip.clipped} at {clip.level:.3f} V "
+          "(paper: 1.5 V)")
+    assert clip.clipped
+    assert clip.level == pytest.approx(1.5, rel=0.05)

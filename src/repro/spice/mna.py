@@ -15,10 +15,10 @@ Engine features:
 * transient analysis by backward-Euler companion models with Newton
   iteration per step (A-stable, no ringing on the switching edges the
   synthesized circuits produce).  Each step's Newton solve starts from
-  the solution extrapolated quadratically from the last three accepted
-  ones, so a smooth waveform usually converges in a chord step or two
-  (below); a circuit with a Schmitt trigger starts from the previous
-  solution, which keeps the trigger on its branch.
+  the solution extrapolated from the last converged ones, up to the
+  quartic through five, so a smooth waveform usually converges in one
+  chord step (below); a circuit with a Schmitt trigger starts from the
+  previous solution, which keeps the trigger on its branch.
 
 Every solver compiles its circuit into a :class:`StampTable` once,
 resolving node names to matrix indices at that point.  The table splits
@@ -39,10 +39,12 @@ matrix it factorized and, the first time a later step needs it, its
 inverse (one more factorization, through the same guard).  A step whose
 linear matrix is the one that matrix was assembled on takes chord steps
 ``x ← x − A⁻¹·r(x)``, each a residual and a matrix-vector product, and
-is done once a residual is below the tolerance; a chord step that does
-not shrink the residual by :data:`CHORD_CONTRACTION` hands the solve to
-a full Newton, whose last matrix is kept instead.  A circuit with a
-Schmitt trigger never keeps one.
+is done once a chord step lands below the tolerance.  It always takes
+one, so a step costs at least two residuals and its start is never
+accepted on its own.  A chord step that does not shrink the residual
+by :data:`CHORD_CONTRACTION` hands the solve to a full Newton, whose
+last matrix is kept instead.  A circuit with a Schmitt trigger never
+keeps one.
 DC, transient and AC (:mod:`repro.spice.ac`) all assemble through this
 one table.
 
@@ -87,18 +89,35 @@ GROUND_NAMES = ("0", "gnd", "ground")
 GMIN = 1e-12
 
 #: a chord step must shrink the residual norm to at most this fraction
-#: of its start's (or below the tolerance), or the solve refactorizes.
-#: Counters over the four ``verify_transient`` inputs (receiver, biquad,
-#: squarer, Figure 8; 5000 steps) at 0.05 / 0.1 / 0.25 / 0.5:
-#: assemblies 296 / 171 / 88 / 55, inversions 261 / 136 / 53 / 24,
-#: residuals 13512 / 14131 / 15629 / 17055.  A residual and its norm
+#: of its start's (or land below the tolerance), or the solve
+#: refactorizes.  Counters over the four ``verify_transient`` inputs
+#: (receiver, biquad, squarer, Figure 8; 5000 steps) at 0.05 / 0.1 /
+#: 0.25 / 0.5, with quartic starts and one chord step always taken:
+#: assemblies 150 / 130 / 97 / 71, inversions 63 / 55 / 34 / 22,
+#: residuals 10158 / 10207 / 10420 / 10668.  A residual and its norm
 #: cost ~6 µs, an assembly and its solve ~19 µs, an inversion ~22 µs
-#: (25 unknowns, 2-vCPU host), so 0.05 and 0.1 cost about the same and
-#: 0.1 factorizes half as often; looser factors trade a factorization
-#: for many slowly contracting chord steps.
+#: (25 unknowns, 2-vCPU host), so the four cost within 1.5 % of each
+#: other.  0.1 was chosen with quadratic starts, which needed more
+#: chord steps: there looser factors traded a factorization for many
+#: slowly contracting chord steps.
 CHORD_CONTRACTION = 0.1
 
 Waveform = Callable[[float], float]
+
+#: the weights of the transient's Newton starts, by how many converged
+#: solutions they extrapolate (the oldest first): each evaluates the
+#: polynomial through them at the fixed step one step on, from the
+#: previous solution up to the quartic ``5·(x₁ − x₄) + 10·(x₃ − x₂) +
+#: x₅``, with ``x₁`` the latest
+_EXTRAPOLATION: Tuple[np.ndarray, ...] = tuple(
+    np.array(weights) for weights in (
+        (1.0,),
+        (-1.0, 2.0),
+        (1.0, -3.0, 3.0),
+        (-1.0, 4.0, -6.0, 4.0),
+        (1.0, -5.0, 10.0, -10.0, 5.0),
+    )
+)
 
 
 def dc(value: float) -> Waveform:
@@ -454,13 +473,27 @@ class StampTable:
         self._cap_terms: List[Tuple[int, float, float]] = []
         #: (term, switch number, sign): value is sign / (ron or roff)
         self._switch_terms: List[Tuple[int, int, float]] = []
-        self._saturating: List[Tuple[SaturatingVcvs, int, int, int]] = []
-        self._functions: List[Tuple[FunctionSource, int, List[int]]] = []
+        #: the nonlinear elements, with what :meth:`residual` reads
+        #: compiled out of them: ``(element, k, ci, cj, gain, vmax)``
+        #: per saturating VCVS and ``(element, k, inputs, fn)`` per
+        #: function source, ``k`` the element's branch row
+        self._saturating: List[
+            Tuple[SaturatingVcvs, int, int, int, float, float]
+        ] = []
+        self._functions: List[
+            Tuple[FunctionSource, int, List[int], Callable[..., float]]
+        ] = []
         #: whether a function source reads its own output (a Schmitt
         #: trigger), so that the Newton start picks its branch
         self.hysteretic = False
-        #: right-hand-side elements, in element order
-        self._sources: List[Tuple[_Element, int, int]] = []
+        #: right-hand-side terms ``(i, j, waveform, scale, ic)`` in
+        #: element order, each adding a value to ``b[i]`` and taking it
+        #: off ``b[j]``: ``scale · waveform(t)`` for a source (scale
+        #: ±1), ``capacitance / dt · v_prev`` for a capacitor's
+        #: companion (no waveform; ``v_prev`` is ``ic`` at the start)
+        self._sources: List[
+            Tuple[int, int, Optional[Waveform], float, float]
+        ] = []
         self.capacitors: List[Tuple[Capacitor, int, int]] = []
         self._switches: List[Tuple[Switch, int]] = []
         self.voltage_sources: List[VoltageSource] = []
@@ -510,19 +543,22 @@ class StampTable:
             elif isinstance(element, Capacitor):
                 i, j = index(element.n1), index(element.n2)
                 self.capacitors.append((element, i, j))
-                self._sources.append((element, i, j))
+                self._sources.append(
+                    (i, j, None, element.capacitance, element.ic)
+                )
                 for position, sign in conductance(i, j):
                     self._cap_terms.append(
                         (position, element.capacitance, sign)
                     )
             elif isinstance(element, CurrentSource):
                 i, j = index(element.npos), index(element.nneg)
-                self._sources.append((element, i, j))
+                self._sources.append((i, j, element.waveform, -1.0, 0.0))
             elif isinstance(element, VoltageSource):
                 i, j = index(element.npos), index(element.nneg)
-                branch(i, j, element.branch_index)
+                k = element.branch_index
+                branch(i, j, k)
                 self.voltage_sources.append(element)
-                self._sources.append((element, element.branch_index, -1))
+                self._sources.append((k, -1, element.waveform, 1.0, 0.0))
             elif isinstance(element, Vcvs):
                 i, j = index(element.npos), index(element.nneg)
                 ci, cj = index(element.cpos), index(element.cneg)
@@ -541,16 +577,18 @@ class StampTable:
                 i, j = index(element.npos), index(element.nneg)
                 ci, cj = index(element.cpos), index(element.cneg)
                 branch(i, j, element.branch_index)
-                self._saturating.append(
-                    (element, element.branch_index, ci, cj)
-                )
+                self._saturating.append((
+                    element, element.branch_index, ci, cj,
+                    element.gain, element.vmax,
+                ))
             elif isinstance(element, FunctionSource):
                 out, k = index(element.nout), element.branch_index
                 term(out, k, 1.0)
                 term(k, out, 1.0)
-                self._functions.append(
-                    (element, k, [index(n) for n in element.inputs])
-                )
+                self._functions.append((
+                    element, k, [index(n) for n in element.inputs],
+                    element.fn,
+                ))
                 self.hysteretic |= element.nout in element.inputs
             else:  # pragma: no cover - defensive
                 raise SimulationError(
@@ -630,20 +668,15 @@ class StampTable:
         if prev is not None:
             p = prev.tolist()
             p.append(0.0)
-        for element, i, j in self._sources:
-            if isinstance(element, Capacitor):
-                if dt is None:
-                    continue  # open circuit at DC
-                g = element.capacitance / dt
-                v_prev = element.ic if p is None else p[i] - p[j]
-                b[i] += g * v_prev
-                b[j] += -g * v_prev
-            elif isinstance(element, CurrentSource):
-                value = element.waveform(t)
-                b[i] += -value
-                b[j] += value
+        for i, j, waveform, scale, ic in self._sources:
+            if waveform is not None:
+                value = scale * waveform(t)
+            elif dt is None:
+                continue  # a capacitor is open at DC
             else:
-                b[i] += element.waveform(t)
+                value = scale / dt * (ic if p is None else p[i] - p[j])
+            b[i] += value
+            b[j] -= value
         return np.array(b[:-1])
 
     def assemble(
@@ -660,7 +693,7 @@ class StampTable:
         v.append(0.0)  # v[-1] is ground
         flat = A.reshape(-1)
         size = self._size
-        for element, k, ci, cj in self._saturating:
+        for element, k, ci, cj, _, _ in self._saturating:
             vc = v[ci] - v[cj]
             f = element.value(vc)
             df = element.derivative(vc)
@@ -670,7 +703,7 @@ class StampTable:
             if cj >= 0:
                 flat[k * size + cj] += df
             b[k] += f - df * vc
-        for element, k, inputs in self._functions:
+        for element, k, inputs, _ in self._functions:
             values = [v[i] for i in inputs]
             rhs_k = element.value(values)
             for i, grad in zip(inputs, element.partials(values)):
@@ -687,17 +720,20 @@ class StampTable:
         without building it.  A nonlinear stamp's derivative terms
         cancel on its own branch row ``k``, leaving
         ``(linear x - rhs)[k] - f``, so only the element values are
-        needed: no derivative, no numeric partial, no matrix copy."""
+        needed: no derivative, no numeric partial, no matrix copy.
+        They are computed inline, as :meth:`SaturatingVcvs.value` and
+        :meth:`FunctionSource.value` compute them."""
         self.residuals += 1
         r = linear @ x - rhs
         if not (self._saturating or self._functions):
             return r
         v = x.tolist()
         v.append(0.0)  # v[-1] is ground
-        for element, k, ci, cj in self._saturating:
-            r[k] -= element.value(v[ci] - v[cj])
-        for element, k, inputs in self._functions:
-            r[k] -= element.value([v[i] for i in inputs])
+        tanh = math.tanh
+        for _, k, ci, cj, gain, vmax in self._saturating:
+            r[k] -= vmax * tanh(gain * (v[ci] - v[cj]) / vmax)
+        for _, k, inputs, fn in self._functions:
+            r[k] -= float(fn(*[v[i] for i in inputs]))
         return r
 
     def linearize(self, x: np.ndarray) -> np.ndarray:
@@ -889,12 +925,12 @@ class MnaSolver:
 
         A transient step whose linear matrix is the one the kept
         factorization was assembled on first runs :meth:`_chord`; when
-        that ends below ``tol`` the step is done without assembling.
-        Otherwise the solve assembles and factorizes at the chord's last
-        point, and from there on it is plain Newton.  High-gain
-        saturating stages (tanh with A = 2e4) make plain Newton
-        oscillate between the rails; backtracking on the residual norm
-        keeps every accepted step a true improvement.
+        a chord step lands below ``tol`` the step is done without
+        assembling.  Otherwise the solve assembles and factorizes at
+        the chord's last point, and from there on it is plain Newton.
+        High-gain saturating stages (tanh with A = 2e4) make plain
+        Newton oscillate between the rails; backtracking on the
+        residual norm keeps every accepted step a true improvement.
 
         Every point is checked through :meth:`_NewtonSystem.residual`,
         which assembles nothing; ``(A, b)`` is assembled only at a point
@@ -918,15 +954,14 @@ class MnaSolver:
             return float(np.abs(system.residual(point)).max())
 
         backend = self._solver_backend()
-        where = f" at t={t:g} s"
         # The residual norm at ``x``, once a line search needs it.
         residual: Optional[float] = None
         kept, self._kept = self._kept, None
         if kept is not None and kept.linear is system.linear:
-            x, residual = self._chord(
-                system, kept, x, max_iter, tol, backend, where
+            x, residual, converged = self._chord(
+                system, kept, x, t, max_iter, tol, backend
             )
-            if residual < tol:
+            if converged:
                 self._kept = kept
                 return x
         for _ in range(max_iter):
@@ -934,7 +969,9 @@ class MnaSolver:
             # The guard boundary owns the singular error (with suspect
             # naming), the success/failure factorization counts, and
             # the once-per-analysis condition estimate.
-            x_new = guarded_solve(backend, A, b, self._guard, where=where)
+            x_new = guarded_solve(
+                backend, A, b, self._guard, where=f" at t={t:g} s"
+            )
             step = x_new - x
             delta = float(np.abs(step).max())
             if delta < tol:
@@ -982,36 +1019,39 @@ class MnaSolver:
         system: _NewtonSystem,
         kept: _KeptFactorization,
         x: np.ndarray,
+        t: float,
         max_iter: int,
         tol: float,
         backend: LinearSolver,
-        where: str,
-    ) -> Tuple[np.ndarray, float]:
+    ) -> Tuple[np.ndarray, float, bool]:
         """Chord iterations ``x ← x − A⁻¹·r(x)`` with the kept matrix's
-        inverse, inverted through the guard on first use.  A step is
-        taken only when it shrinks the residual norm by
-        :data:`CHORD_CONTRACTION`; returns the last point taken and its
-        residual norm, which the caller accepts only below ``tol``."""
+        inverse, inverted through the guard on first use.
+
+        The first step is always taken, so the start is never accepted
+        on its own residual: ``tol`` mixes units (amperes on KCL rows,
+        volts on branch rows), and a start off by volts can pass it on
+        a node whose conductances are all nanosiemens.  A step is kept
+        only when it lands below ``tol``, which converges the solve, or
+        shrinks the residual norm by :data:`CHORD_CONTRACTION`.
+        Returns the last point kept (the start if none was), its
+        residual norm, and whether the solve converged."""
+        if kept.inverse is None:
+            kept.inverse = guarded_inverse(
+                backend, kept.matrix, self._guard, where=f" at t={t:g} s"
+            )
         r = system.residual(x)
         residual = float(np.abs(r).max())
         for _ in range(max_iter):
-            if residual < tol:
-                break
-            if kept.inverse is None:
-                kept.inverse = guarded_inverse(
-                    backend, kept.matrix, self._guard, where=where
-                )
             candidate = x - kept.inverse @ r
             r_candidate = system.residual(candidate)
             cand_residual = float(np.abs(r_candidate).max())
+            if cand_residual < tol:
+                return candidate, cand_residual, True
             # ``not`` also stops on a NaN candidate.
-            if not (
-                cand_residual < tol
-                or cand_residual <= CHORD_CONTRACTION * residual
-            ):
+            if not cand_residual <= CHORD_CONTRACTION * residual:
                 break
             x, r, residual = candidate, r_candidate, cand_residual
-        return x, residual
+        return x, residual, False
 
     @contextmanager
     def _analysis(self) -> Iterator[None]:
@@ -1077,19 +1117,23 @@ class MnaSolver:
     ) -> TransientResult:
         """Backward-Euler transient from t=0.
 
-        Each step's Newton solve starts at the solution extrapolated
-        quadratically from the last three accepted ones, ``3·x₁ − 3·x₂
-        + x₃``; step 2 starts at the linear ``2·x₁ − x₀`` and step 1 at
-        the initial state.  Where a step has one solution, the start
-        changes only how many iterations it takes; the answer moves
-        only within the Newton tolerance.  A function source that reads
-        its own output (a Schmitt trigger) has two inside its
-        hysteresis band, and Newton keeps the one it starts on; an
-        extrapolated start can sit on the other, so a circuit with one
-        starts every step from the previous solution.  Switches follow
-        the previous step's solution either way.  From step 2 on, a
-        step of a circuit without such a source first takes chord steps
-        with the last factorization (see :meth:`_newton`), unless a
+        Each step's Newton solve starts at the polynomial through the
+        converged solutions so far, extrapolated one step (the initial
+        state counts as one): step 1 at the initial state, step 2 at
+        the linear ``2·x₁ − x₀``, and so on up to the quartic ``5·(x₁ −
+        x₄) + 10·(x₃ − x₂) + x₅`` from step 5 on.  The history restarts
+        after an exhausted solve: the next step starts at its
+        best-effort point, and no later start extrapolates through it.
+        Where a step has one solution, the start changes only how many
+        iterations it takes and, within the Newton tolerance, where
+        they stop.  A function source that reads its own output (a
+        Schmitt trigger) has two inside its hysteresis band, and Newton
+        keeps the one it starts on; an extrapolated start can sit on
+        the other, so a circuit with one starts every step from the
+        previous solution.  Switches follow the previous step's
+        solution either way.  From step 2 on, a step of a circuit
+        without such a source first takes chord steps with the last
+        factorization (see :meth:`_newton`), at least one, unless a
         switch flipped since it was made.
         """
         if dt <= 0 or t_end <= 0:
@@ -1105,37 +1149,51 @@ class MnaSolver:
             )
         self._guard.reset()
         times = np.empty(n_steps)
-        states = np.empty((n_steps, self._size))
-        x = np.zeros(self._size)
+        # Row 0 is the initial state, row k the solution of step k.
+        states = np.zeros((n_steps + 1, self._size))
         # Seed node voltages from capacitor initial conditions.
         for element, i, j in self.stamps.capacitors:
             if element.ic != 0.0:
                 if i >= 0 and j < 0:
-                    x[i] = element.ic
+                    states[0, i] = element.ic
                 elif j >= 0 and i < 0:
-                    x[j] = -element.ic
-        # The last three accepted solutions, the latest first.
-        x1 = x2 = x3 = x.copy()
-        hysteretic = self.stamps.hysteretic
+                    states[0, j] = -element.ic
+        # A start extrapolates the rows from ``first`` on, the last
+        # ``depth`` at most: the converged solutions since the last
+        # exhausted solve (the initial state counts).  Right after an
+        # exhausted solve there are none, and the step starts at the
+        # best-effort point itself.
+        first = 0
+        depth = 1 if self.stamps.hysteretic else len(_EXTRAPOLATION)
         with self._analysis():
-            for step in range(n_steps):
-                t = (step + 1) * dt
-                if hysteretic or step == 0:
-                    start = x1
-                elif step == 1:
-                    start = 2.0 * x1 - x2
+            for step in range(1, n_steps + 1):
+                t = step * dt
+                prev = states[step - 1]
+                count = min(step - first, depth)
+                if count:
+                    start = _EXTRAPOLATION[count - 1] @ states[
+                        step - count:step
+                    ]
                 else:
-                    start = 3.0 * (x1 - x2) + x3
-                x = self._newton(start, t, dt, x1, switch_controls=x1)
-                self._check_solution_finite(x, t=t)
-                times[step] = t
+                    start = prev
+                exhausted = self._exhausted
+                x = self._newton(
+                    start, t, dt, prev=prev, switch_controls=prev
+                )
+                if self._exhausted != exhausted:
+                    # Only an exhausted solve can return a non-finite
+                    # point: a converged one stopped on a residual or a
+                    # step below ``tol``, and a NaN or inf in ``x``
+                    # makes both NaN or inf.
+                    self._check_solution_finite(x, t=t)
+                    first = step + 1
+                times[step - 1] = t
                 states[step] = x
-                x1, x2, x3 = x.copy(), x1, x2
         voltages = {}
         for name in names:
             index = self._index(name)
             voltages[name] = (
-                np.zeros(n_steps) if index < 0 else states[:, index].copy()
+                np.zeros(n_steps) if index < 0 else states[1:, index].copy()
             )
         return TransientResult(time=times, voltages=voltages)
 

@@ -1,13 +1,15 @@
 """Predicted Newton starts against the previous-solution start.
 
 ``MnaSolver.transient`` starts each step's Newton solve from the
-solution extrapolated quadratically from the last three accepted ones.
-The oracle, the ``unpredicted_transient`` fixture, starts from the
-previous step's solution instead.  Where a step has one solution, both
-solve the same system to the same tolerance, so wherever the oracle
-converged the two must agree; and the predicted start must converge
-at every step of the Section-6 verification designs and the Figure-8
-receiver transient, where the oracle leaves some steps unconverged.
+solution extrapolated from the converged ones so far, up to the
+quartic through the last five; an exhausted solve restarts that
+history.  The oracle, the ``unpredicted_transient`` fixture, starts
+from the previous step's solution instead.  Where a step has one
+solution, both solve the same system to the same tolerance, so
+wherever the oracle converged the two must agree; and the predicted
+start must converge at every step of the Section-6 verification
+designs and the Figure-8 receiver transient, where the oracle leaves
+some steps unconverged.
 Where a step has two solutions, a Schmitt trigger inside its
 hysteresis band, the start picks one, and the predicted start must
 keep the branch the trigger last jumped to, as the oracle does.
@@ -17,9 +19,10 @@ the assembly-free residual must equal the assembled one, and a
 transient must assemble only for a factorization.
 
 A transient step first takes chord steps with the factorization an
-earlier step kept.  The oracle, the ``refactorizing_transient``
-fixture, drops it before every solve, so each step assembles and
-factorizes as before; both accept a point only on its residual, so
+earlier step kept, at least one, so that no start is accepted on its
+own residual.  The oracle, the ``refactorizing_transient`` fixture,
+drops it before every solve, so each step assembles and factorizes
+as before; both accept a point only on its residual, so
 they must agree to within the tolerance's effect on the voltages.  A
 switch flip changes the linear matrix and must force a
 refactorization, and a hysteretic circuit must run exactly as the
@@ -163,17 +166,25 @@ def test_one_assembly_per_factorization(circuits, solve_log, name):
     assert 1 <= solve_log["inversions"] <= assemblies
 
 
-def test_quadratic_source_is_predicted_exactly():
+def test_quartic_source_is_predicted_exactly():
     # A divider's solution is linear in its source, so under a source
-    # quadratic in t, zero at t=0 like the initial state, the quadratic
-    # start is exact from step 3 on: its residual is already below the
-    # tolerance, and the step takes no factorization.  The linear start
-    # of step 2 misses by the second difference; one chord step with
-    # step 1's inverted matrix, exact for a linear circuit, closes it.
-    b, c = 2e3, 5e5
+    # quartic in t, zero at t=0 like the initial state, the quartic
+    # start is exact from step 5 on, the first to extrapolate five
+    # solutions (the initial state among them).  Every later step
+    # takes one chord step with step 1's matrix, inverted at step 2;
+    # exact for a linear circuit, it closes any miss, and no step after
+    # step 2 factorizes.  The cubic start of step 4 misses by the
+    # fourth difference, as a quadratic or cubic start would at every
+    # later step.
     dt, n_steps = 1e-5, 40
+    h = 1.0 / n_steps  # dt in units of the run's length
+
+    def source(t):
+        tau = t / (n_steps * dt)
+        return tau + tau ** 2 - tau ** 3 + 2.0 * tau ** 4
+
     circuit = Circuit("divider")
-    circuit.vsource("V1", "in", "0", lambda t: b * t + c * t * t)
+    circuit.vsource("V1", "in", "0", source)
     circuit.resistor("R1", "in", "out", 1e3)
     circuit.resistor("R2", "out", "0", 1e3)
     solver = MnaSolver(circuit)
@@ -189,13 +200,73 @@ def test_quadratic_source_is_predicted_exactly():
     solver._newton = recording
     solver.transient(n_steps * dt, dt)
     assert len(steps) == n_steps
-    assert [count for _, _, count in steps[:2]] == [1, 1]
+    assert [count for _, _, count in steps[:4]] == [1, 1, 0, 0]
     vin = solver._index("in")
-    start, x, _ = steps[1]
-    assert x[vin] - start[vin] == pytest.approx(2 * c * dt * dt, rel=1e-6)
-    for start, x, factorizations in steps[2:]:
+    start, x, _ = steps[3]
+    assert x[vin] - start[vin] == pytest.approx(24 * 2.0 * h ** 4, rel=1e-6)
+    for start, x, factorizations in steps[4:]:
         assert np.abs(x - start).max() < 1e-12
         assert factorizations == 0
+
+
+def test_history_restarts_after_an_exhausted_solve():
+    # Step 4's solve gets no iterations, so it returns its start as a
+    # best-effort point.  Step 5 starts at that point and step 6 at
+    # step 5's solution: no start extrapolates through step 4.  The
+    # order then grows again, one per converged step.
+    dt, n_steps = 1e-5, 8
+    circuit = Circuit("divider")
+    circuit.vsource("V1", "in", "0", lambda t: 1e3 * t + 1e8 * t * t)
+    circuit.resistor("R1", "in", "out", 1e3)
+    circuit.resistor("R2", "out", "0", 1e3)
+    solver = MnaSolver(circuit)
+    starts, solutions = [], []
+    newton = solver._newton
+
+    def recording(x0, t, step_dt, prev, switch_controls, **kwargs):
+        if len(starts) == 3:
+            kwargs["max_iter"] = 0
+        starts.append(x0)
+        solutions.append(
+            newton(x0, t, step_dt, prev, switch_controls, **kwargs)
+        )
+        return solutions[-1]
+
+    solver._newton = recording
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solver.transient(n_steps * dt, dt)
+    assert ["converge in 1 solve(s)" in str(w.message) for w in caught] == [
+        True
+    ]
+    assert np.array_equal(solutions[3], starts[3])
+    assert np.array_equal(starts[4], solutions[3])
+    assert np.array_equal(starts[5], solutions[4])
+    linear = 2.0 * solutions[5] - solutions[4]
+    quadratic = 3.0 * (solutions[6] - solutions[5]) + solutions[4]
+    assert np.abs(starts[6] - linear).max() < 1e-12
+    assert np.abs(starts[7] - quadratic).max() < 1e-12
+
+
+def test_start_is_never_accepted_on_its_own_residual():
+    # 100 MΩ into 0.1 pF from 1 V DC: the capacitor node's conductances
+    # are 1e-8 S (R) and 1e-7 S (C/dt), so a start a few mV off has a
+    # KCL residual below the 1e-9 tolerance.  Every step must take a
+    # chord step from its start and land on the backward-Euler
+    # recurrence, gmin included.
+    r, c, dt, n_steps = 1e8, 1e-13, 1e-6, 100
+    circuit = Circuit("slow rc")
+    circuit.vsource("V1", "in", "0", 1.0)
+    circuit.resistor("R1", "in", "out", r)
+    circuit.capacitor("C1", "out", "0", c)
+    sim = MnaSolver(circuit).transient(n_steps * dt, dt)
+    g_c, g_r = c / dt, 1.0 / r
+    v, expected = 0.0, []
+    for _ in range(n_steps):
+        v = (g_c * v + g_r) / (g_c + g_r + MnaSolver.gmin)
+        expected.append(v)
+    assert np.abs(sim["out"] - np.array(expected)).max() < 1e-12
+    assert np.array_equal(sim["in"], np.ones(n_steps))
 
 
 @pytest.mark.parametrize("name", NAMES)

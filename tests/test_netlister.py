@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.flow import synthesize
+from repro.instrument import metrics
 from repro.library import default_library
 from repro.spice import dc, elaborate, sin_wave, to_spice_deck
 from repro.spice.netlister import infer_control_links
@@ -158,8 +159,15 @@ class TestNonlinearCores:
         )
         circuit = elaborate(result.netlist, input_waves={"u": dc(2.0)})
         out = circuit.output_nodes["y"]
+        registry = metrics()
+        before = registry.counter("spice.mna.newton_exhausted")
         sim = circuit.transient(1e-3, 1e-5, probes=[out])
         assert sim.final(out) == pytest.approx(2.0 ** 1.5, rel=1e-2)
+        # Step 1 diverges (its residual reaches ~1e20) and is the only
+        # unconverged step: the steps after it do not extrapolate
+        # through its best-effort point.
+        exhausted = registry.counter("spice.mna.newton_exhausted") - before
+        assert exhausted == 1
 
     def test_limiter_output_stage(self):
         result = synth(
