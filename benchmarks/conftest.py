@@ -12,7 +12,9 @@ to disable dumping).  Each file carries the payload the benchmark
 recorded plus a snapshot of the process-wide
 :func:`repro.instrument.metrics` registry, so a run's search effort
 (nodes visited, cones matched, op-amp sizings, MNA factorizations) is
-preserved alongside its wall-times.
+preserved alongside its wall-times.  Facts about the host (its usable
+cores) go in a separate ``provenance`` section, which ``bench-check``
+does not gate: they describe the machine, not the program.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ def dump_metrics(name: str, payload: Dict[str, object]) -> Optional[str]:
         "benchmark": name,
         "payload": payload,
         "metrics": metrics().snapshot(),
+        "provenance": {"cores": len(os.sched_getaffinity(0))},
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, default=str)

@@ -112,7 +112,6 @@ def test_bench_batch_executors(benchmark, bench_metrics, tmp_path):
     print(f"process 4: {process_s * 1e3:8.2f} ms "
           f"({serial_s / process_s:.2f}x)")
     bench_metrics["files"] = len(files)
-    bench_metrics["cores"] = cores
     bench_metrics["serial_s"] = serial_s
     bench_metrics["thread4_s"] = thread_s
     bench_metrics["process4_s"] = process_s

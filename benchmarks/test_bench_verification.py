@@ -8,7 +8,10 @@ acceptance gate.
 
 The Figure-8 receiver transient (the paper's clipping run, driven at
 1 V) is timed here as well, so all four inputs of the
-``verify_transient`` workload have their work counters gated.
+``verify_transient`` workload have their work counters gated, and so
+is the function generator's free-running transient (Table 1's
+integrator, MUX and Schmitt trigger), whose oscillation must not leave
+a Newton solve unconverged.
 
 Each test dumps its metrics through the ``bench_metrics`` fixture, and
 ``benchmarks/baselines/test_verification_*.json`` pin the simulator's
@@ -18,9 +21,11 @@ fixture, before the fixture resets the registry, so a dump counts the
 verification alone.
 """
 
+import numpy as np
 import pytest
 
-from repro.apps import biquad_filter, receiver
+from repro.apps import biquad_filter, function_generator, receiver
+from repro.instrument import metrics
 from repro.flow import synthesize
 from repro.spice import elaborate, sin_wave, waveform
 from repro.verify import verify_equivalence
@@ -44,6 +49,9 @@ def designs():
         "receiver": synthesize(receiver.VASS_SOURCE),
         "biquad": biquad_filter.synthesize_biquad(),
         "squarer": synthesize(SQUARER_SOURCE),
+        "function_generator": (
+            function_generator.synthesize_function_generator()
+        ),
     }
 
 
@@ -112,3 +120,24 @@ def test_verification_figure8(benchmark, designs, bench_metrics):
           "(paper: 1.5 V)")
     assert clip.clipped
     assert clip.level == pytest.approx(1.5, rel=0.05)
+
+
+def test_verification_function_generator(benchmark, designs, bench_metrics):
+    netlist = designs["function_generator"].netlist
+    dt = 2e-6
+
+    def run():
+        circuit = elaborate(netlist)
+        out = circuit.output_nodes["ramp"]
+        return circuit.transient(2e-3, dt, probes=[out])[out]
+
+    ramp = benchmark.pedantic(run, rounds=1, iterations=1)
+    banner("Verification: function generator (integrator, MUX, Schmitt)")
+    turns = (np.diff(np.sign(np.diff(ramp))) != 0).nonzero()[0] + 1
+    peak = function_generator.V_HIGH + function_generator.SLOPE * dt
+    print(f"ramp turns: {len(turns)}, peaks {ramp.max():+.5f} / "
+          f"{ramp.min():+.5f} V (one step past the thresholds: "
+          f"±{peak:.5f} V)")
+    assert metrics().counter("spice.mna.newton_exhausted") == 0
+    assert len(turns) >= 3
+    assert np.abs(np.abs(ramp[turns]) - peak).max() < 1e-3

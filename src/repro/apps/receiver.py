@@ -73,11 +73,6 @@ def synthesize_receiver(options: FlowOptions = None) -> SynthesisResult:
     return synthesize(VASS_SOURCE, options=options)
 
 
-def line_wave(amplitude: float = 1.0, freq_hz: float = 1000.0):
-    """The high-amplitude test input of the Figure-8 experiment."""
-    return lambda t: amplitude * math.sin(2.0 * math.pi * freq_hz * t)
-
-
 def expected_earph(line: float, local: float) -> float:
     """Reference output (pre-limiting) from the specification's math."""
     rvar = 0.5 if line > 0.2 else 1.25

@@ -15,7 +15,7 @@ VASS AST:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.diagnostics import CompileError
 from repro.vass import ast_nodes as ast
@@ -81,10 +81,6 @@ def is_zero(expr: ast.Expression) -> bool:
     return literal_value(expr) == 0.0
 
 
-def is_one(expr: ast.Expression) -> bool:
-    return literal_value(expr) == 1.0
-
-
 def count_occurrences(expr: ast.Expression, target: str) -> int:
     """How many times ``target`` is referenced inside ``expr``."""
     return sum(
@@ -92,10 +88,6 @@ def count_occurrences(expr: ast.Expression, target: str) -> int:
         for node in ast.walk_expression(expr)
         if isinstance(node, ast.Name) and node.identifier == target
     )
-
-
-def free_names(expr: ast.Expression) -> List[str]:
-    return ast.referenced_names(expr)
 
 
 def equal(left: ast.Expression, right: ast.Expression) -> bool:

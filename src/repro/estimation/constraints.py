@@ -28,10 +28,6 @@ class PerformanceEstimate:
     def area_um2(self) -> float:
         return self.area * 1e12
 
-    @property
-    def area_mm2(self) -> float:
-        return self.area * 1e6
-
     def describe(self) -> str:
         status = "feasible" if self.feasible else "INFEASIBLE"
         return (

@@ -112,7 +112,6 @@ from repro.instrument.tracer import (
     Span,
     Tracer,
     active_tracer,
-    disable_tracing,
     enable_tracing,
     trace_phase,
     tracing,
@@ -179,7 +178,6 @@ __all__ = [
     "Span",
     "Tracer",
     "active_tracer",
-    "disable_tracing",
     "enable_tracing",
     "trace_phase",
     "tracing",

@@ -262,13 +262,6 @@ def enable_tracing(tracer: Optional[Tracer] = None) -> Tracer:
     return _TLS.tracer
 
 
-def disable_tracing() -> Optional[Tracer]:
-    """Deactivate tracing; returns the tracer that was active."""
-    tracer = _active()
-    _TLS.tracer = None
-    return tracer
-
-
 class tracing:
     """Context manager: activate a tracer, restoring the previous one.
 

@@ -24,7 +24,6 @@ from repro.pipeline.fingerprint import (
     canonicalize,
     fingerprint,
     library_fingerprint,
-    stage_key,
 )
 from repro.pipeline.stages import (
     ALL_STAGES,
@@ -66,5 +65,4 @@ __all__ = [
     "create_executor",
     "fingerprint",
     "library_fingerprint",
-    "stage_key",
 ]

@@ -16,7 +16,6 @@ import dataclasses
 import hashlib
 import json
 import re
-from typing import Tuple
 
 _ADDRESS = re.compile(r"0x[0-9a-fA-F]+")
 
@@ -82,8 +81,3 @@ def fingerprint(*parts: object) -> str:
 def library_fingerprint(library: object) -> str:
     """Content fingerprint of a component library (name + all specs)."""
     return fingerprint(library)
-
-
-def stage_key(name: str, version: int, *parts: object) -> Tuple[str, str]:
-    """A stage's content-addressed key: ``(stage_name, digest)``."""
-    return name, fingerprint(name, version, *parts)

@@ -108,11 +108,7 @@ class AcSolver:
 
     def _bias(self) -> np.ndarray:
         if self._operating_point is None:
-            with self._mna._analysis():
-                op = self._mna._newton(
-                    np.zeros(self._size), 0.0, None, None, None
-                )
-            self._operating_point = op
+            self._operating_point = self._mna.operating_point()
         return self._operating_point
 
     # -- sweep ------------------------------------------------------------------

@@ -17,8 +17,8 @@ Engine features:
   synthesized circuits produce).  Each step's Newton solve starts from
   the solution extrapolated from the last converged ones, up to the
   quartic through five, so a smooth waveform usually converges in one
-  chord step (below); a circuit with a Schmitt trigger starts from the
-  previous solution, which keeps the trigger on its branch.
+  chord step (below).  Switches, a Schmitt trigger's among them, act on
+  the previous step's solution, so every step has one solution.
 
 Every solver compiles its circuit into a :class:`StampTable` once,
 resolving node names to matrix indices at that point.  The table splits
@@ -43,8 +43,7 @@ is done once a chord step lands below the tolerance.  It always takes
 one, so a step costs at least two residuals and its start is never
 accepted on its own.  A chord step that does not shrink the residual
 by :data:`CHORD_CONTRACTION` hands the solve to a full Newton, whose
-last matrix is kept instead.  A circuit with a Schmitt trigger never
-keeps one.
+last matrix is kept instead.
 DC, transient and AC (:mod:`repro.spice.ac`) all assemble through this
 one table.
 
@@ -483,9 +482,6 @@ class StampTable:
         self._functions: List[
             Tuple[FunctionSource, int, List[int], Callable[..., float]]
         ] = []
-        #: whether a function source reads its own output (a Schmitt
-        #: trigger), so that the Newton start picks its branch
-        self.hysteretic = False
         #: right-hand-side terms ``(i, j, waveform, scale, ic)`` in
         #: element order, each adding a value to ``b[i]`` and taking it
         #: off ``b[j]``: ``scale · waveform(t)`` for a source (scale
@@ -589,7 +585,6 @@ class StampTable:
                     element, k, [index(n) for n in element.inputs],
                     element.fn,
                 ))
-                self.hysteretic |= element.nout in element.inputs
             else:  # pragma: no cover - defensive
                 raise SimulationError(
                     f"unknown element type {type(element).__name__}"
@@ -938,10 +933,8 @@ class MnaSolver:
         ``guarded_solve``.  Outside the chord, the start's own residual
         is computed only when a candidate's is not already below
         ``tol``.  A transient solve that converges keeps its last
-        matrix for the next step's chord; a DC solve, an exhausted
-        solve and any solve of a :attr:`StampTable.hysteretic` circuit
-        keep none (chord steps left more of a Schmitt trigger's steps
-        unconverged).  Runs inside :meth:`_analysis`, which publishes
+        matrix for the next step's chord; a DC solve and an exhausted
+        solve keep none.  Runs inside :meth:`_analysis`, which publishes
         the assembly, residual, factorization and exhausted-solve
         counts.
         """
@@ -1010,7 +1003,7 @@ class MnaSolver:
                     self.unknown_labels[int(r.argmax())],
                 )
             return x  # best effort; _analysis warns when the analysis ends
-        if dt is not None and not self.stamps.hysteretic:
+        if dt is not None:
             self._kept = _KeptFactorization(system.linear, A)
         return x
 
@@ -1098,12 +1091,18 @@ class MnaSolver:
 
     # -- public analyses ----------------------------------------------------------------
 
-    def dc_operating_point(self) -> Dict[str, float]:
-        """Newton DC solution (capacitors open)."""
+    def operating_point(self) -> np.ndarray:
+        """Newton DC solution (capacitors open), every unknown in
+        matrix order: the bias point of the DC and AC analyses."""
         self._guard.reset()
         with self._analysis():
             x = self._newton(np.zeros(self._size), 0.0, None, None, None)
             self._check_solution_finite(x)
+        return x
+
+    def dc_operating_point(self) -> Dict[str, float]:
+        """Newton DC solution (capacitors open), by node name."""
+        x = self.operating_point()
         return {
             name: float(x[index])
             for name, index in self.circuit._nodes.items()
@@ -1124,17 +1123,15 @@ class MnaSolver:
         x₄) + 10·(x₃ − x₂) + x₅`` from step 5 on.  The history restarts
         after an exhausted solve: the next step starts at its
         best-effort point, and no later start extrapolates through it.
-        Where a step has one solution, the start changes only how many
-        iterations it takes and, within the Newton tolerance, where
-        they stop.  A function source that reads its own output (a
-        Schmitt trigger) has two inside its hysteresis band, and Newton
-        keeps the one it starts on; an extrapolated start can sit on
-        the other, so a circuit with one starts every step from the
-        previous solution.  Switches follow the previous step's
-        solution either way.  From step 2 on, a step of a circuit
-        without such a source first takes chord steps with the last
-        factorization (see :meth:`_newton`), at least one, unless a
-        switch flipped since it was made.
+        Switches follow the previous step's solution, so every state a
+        circuit keeps (a capacitor's charge, a Schmitt trigger's
+        branch, which the netlister builds from switches) is the
+        previous step's and each step has one solution: the start
+        changes only how many iterations it takes and, within the
+        Newton tolerance, where they stop.  From step 2 on, a step
+        first takes chord steps with the last factorization (see
+        :meth:`_newton`), at least one, unless a switch flipped since
+        it was made.
         """
         if dt <= 0 or t_end <= 0:
             raise SimulationError("dt and t_end must be positive")
@@ -1159,17 +1156,16 @@ class MnaSolver:
                 elif j >= 0 and i < 0:
                     states[0, j] = -element.ic
         # A start extrapolates the rows from ``first`` on, the last
-        # ``depth`` at most: the converged solutions since the last
+        # five at most: the converged solutions since the last
         # exhausted solve (the initial state counts).  Right after an
         # exhausted solve there are none, and the step starts at the
         # best-effort point itself.
         first = 0
-        depth = 1 if self.stamps.hysteretic else len(_EXTRAPOLATION)
         with self._analysis():
             for step in range(1, n_steps + 1):
                 t = step * dt
                 prev = states[step - 1]
-                count = min(step - first, depth)
+                count = min(step - first, len(_EXTRAPOLATION))
                 if count:
                     start = _EXTRAPOLATION[count - 1] @ states[
                         step - count:step

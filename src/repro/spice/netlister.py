@@ -20,7 +20,9 @@ Circuit-level choices (documented substitutions):
 * multiplier/divider/log/antilog instances use function sources
   standing in for their translinear cores;
 * comparators are steep sigmoid sources producing 0/1 control levels;
-  Schmitt triggers close positive feedback around the sigmoid.
+  a Schmitt trigger's sigmoid compares against a threshold node that
+  two switches, controlled by the trigger's own output, connect to one
+  of two DC levels, so its state is its previous step's output.
 """
 
 from __future__ import annotations
@@ -450,16 +452,31 @@ class Elaborator:
             invert = bool(inst.params.get("invert", False))
             a = _net_node(inst.inputs[0])
             if hysteresis > 0.0:
-                fn = _sigmoid(0.0)
-
-                def schmitt(x, y, _fn=fn, _th=threshold, _h=hysteresis,
-                            _inv=invert):
-                    state = (1.0 - y) if _inv else y
-                    raw = _fn(x - _th + _h * (2.0 * state - 1.0))
-                    return (1.0 - raw) if _inv else raw
-
+                # The trigger's state is its output at the previous
+                # step: two switches it controls put ``threshold -
+                # hysteresis`` on ``thr`` while it is high and
+                # ``threshold + hysteresis`` while it is low (the other
+                # way round when inverted).
+                thr = self._fresh(f"{inst.name}_thr")
+                for suffix, level, switch_invert in (
+                    ("lo", threshold - hysteresis, invert),
+                    ("hi", threshold + hysteresis, not invert),
+                ):
+                    node = self._fresh(f"{inst.name}_{suffix}")
+                    self.circuit.vsource(
+                        f"{inst.name}_v{suffix}", node, "0", level
+                    )
+                    self.circuit.switch(
+                        f"{inst.name}_sw{suffix}", node, thr, out,
+                        invert=switch_invert,
+                    )
+                base = _sigmoid(0.0)
+                fn = (
+                    (lambda x, v, _b=base: 1.0 - _b(x - v)) if invert
+                    else (lambda x, v, _b=base: _b(x - v))
+                )
                 self.circuit.function_source(
-                    f"{inst.name}_core", out, [a, out], schmitt
+                    f"{inst.name}_core", out, [a, thr], fn
                 )
             else:
                 base = _sigmoid(threshold)

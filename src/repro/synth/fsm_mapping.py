@@ -17,8 +17,8 @@ control signals:
 * **Schmitt control** — a signal set by *two* thresholds on the *same*
   quantity (set below the low threshold, reset above the high one — the
   function generator's ramp direction) collapses the two comparators
-  into one hysteretic comparator, which the pattern library maps onto a
-  Schmitt trigger.
+  into one comparator with hysteresis, which the pattern library maps
+  onto a Schmitt trigger.
 
 FSMs that match neither idiom are left as-is: the paper notes that more
 complex structures are delegated to standard digital synthesis [8],
@@ -233,8 +233,8 @@ def realize_event_controls(design: VhifDesign) -> List[RealizedControl]:
 
     Modifies the design's main SFG in place: control bindings of
     realized signals become direct comparator-output connections, and
-    Schmitt pairs collapse two threshold comparators into one hysteretic
-    comparator.  Returns the realizations performed.
+    Schmitt pairs collapse two threshold comparators into one
+    comparator with hysteresis.  Returns the realizations performed.
     """
     realized: List[RealizedControl] = []
     for sfg in design.sfgs:

@@ -256,14 +256,6 @@ class TypeMark:
     element: Optional[str] = None
     bounds: Optional[Tuple[int, int]] = None
 
-    def is_nature(self) -> bool:
-        """True for types representing analog (nature) values."""
-        if self.name in ("real", "voltage", "current"):
-            return True
-        if self.element in ("real", "voltage", "current"):
-            return True
-        return False
-
     def is_discrete(self) -> bool:
         return self.name in ("bit", "bit_vector", "boolean", "integer")
 

@@ -9,12 +9,12 @@ paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.diagnostics import VaseError
 from repro.vhif.fsm import Fsm
-from repro.vhif.sfg import Block, BlockKind, SignalFlowGraph
+from repro.vhif.sfg import SignalFlowGraph
 
 
 @dataclass
@@ -125,15 +125,6 @@ class VhifDesign:
         for fsm in self.fsms:
             names |= fsm.output_signals()
         return names
-
-    def controlled_blocks(self) -> List[Tuple[SignalFlowGraph, Block, str]]:
-        """All (sfg, block, control signal) triples in the design."""
-        result: List[Tuple[SignalFlowGraph, Block, str]] = []
-        for sfg in self.sfgs:
-            for signal, endpoints in sfg.control_bindings.items():
-                for endpoint in endpoints:
-                    result.append((sfg, sfg.block(endpoint.block_id), signal))
-        return result
 
     # -- statistics (Table 1) ---------------------------------------------------
 

@@ -356,10 +356,6 @@ class SignalFlowGraph:
     def fanout(self, block: Block) -> int:
         return len(self.successors(block))
 
-    def output_net(self, block: Block) -> Optional[Net]:
-        net_id = self._output_net.get(block.block_id)
-        return self._nets[net_id] if net_id is not None else None
-
     # -- analysis ---------------------------------------------------------------
 
     def topological_order(self) -> List[Block]:

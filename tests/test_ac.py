@@ -1,12 +1,14 @@
 """Tests for the small-signal AC analysis and the biquad application."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.apps import biquad_filter
 from repro.diagnostics import SimulationError
+from repro.robust.guards import NumericalWarning
 from repro.spice import dc, elaborate
 from repro.spice.ac import AcSolver, ac_sweep
 from repro.spice.macromodel import OpAmpMacro, add_opamp
@@ -82,6 +84,23 @@ class TestAcBasics:
     def test_unknown_probe(self):
         with pytest.raises(SimulationError):
             ac_sweep(rc_lowpass(), 10.0, 1e3, probes=["ghost"])
+
+    @pytest.mark.parametrize("saturating", [False, True])
+    def test_nonfinite_bias_point_is_located_at_dc(self, saturating):
+        # A NaN DC source poisons the bias point.  The sweep must stop
+        # there with the DC analysis's located error, and not sweep on
+        # (a linear circuit) or blame an AC frequency (a saturating
+        # stage's linearization carries the NaN into G).
+        circuit = rc_lowpass()
+        circuit.isource("IB", "0", "out", lambda t: float("nan"))
+        if saturating:
+            add_opamp(circuit, "OA", "out", "buf", "buf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericalWarning)
+            with pytest.raises(
+                SimulationError, match="non-finite solution at DC"
+            ):
+                ac_sweep(circuit, 10.0, 1e3, probes=["out"])
 
     def test_peak_frequency_of_rlc(self):
         circuit = Circuit()

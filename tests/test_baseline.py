@@ -56,6 +56,13 @@ class TestExtractMetrics:
         metrics = extract_metrics(make_dump(search={"pruned": 9}))
         assert metrics["payload.search.pruned"] == 9.0
 
+    def test_provenance_is_not_gated(self):
+        # The host's core count describes the machine a dump came from;
+        # gating it would fail every host but the baseline's.
+        dump = make_dump(nodes=16)
+        dump["provenance"] = {"cores": 2}
+        assert extract_metrics(dump) == extract_metrics(make_dump(nodes=16))
+
 
 class TestCompareMetrics:
     def test_identical_metrics_pass(self):

@@ -10,9 +10,11 @@ wherever the oracle converged the two must agree; and the predicted
 start must converge at every step of the Section-6 verification
 designs and the Figure-8 receiver transient, where the oracle leaves
 some steps unconverged.
-Where a step has two solutions, a Schmitt trigger inside its
-hysteresis band, the start picks one, and the predicted start must
-keep the branch the trigger last jumped to, as the oracle does.
+A Schmitt trigger keeps its state in switches that read the previous
+step, so a step inside its hysteresis band still has one solution, and
+the trigger must keep the branch it last jumped to, as the oracle does.
+The function generator built on one must oscillate with the period and
+the peaks that one step of switch delay per turn predicts.
 
 Newton checks each point's residual without assembling the system, so
 the assembly-free residual must equal the assembled one, and a
@@ -25,8 +27,7 @@ drops it before every solve, so each step assembles and factorizes
 as before; both accept a point only on its residual, so
 they must agree to within the tolerance's effect on the voltages.  A
 switch flip changes the linear matrix and must force a
-refactorization, and a hysteretic circuit must run exactly as the
-oracle does.
+refactorization.
 """
 
 import warnings
@@ -269,11 +270,26 @@ def test_start_is_never_accepted_on_its_own_residual():
     assert np.array_equal(sim["in"], np.ones(n_steps))
 
 
-@pytest.mark.parametrize("name", NAMES)
+def _schmitt_sine():
+    """The Schmitt trigger of ``test_schmitt_trigger_is_bistable``
+    (switching at ±0.3 V) under a 1 V, 500 Hz sine: (circuit, t_end,
+    dt)."""
+    from tests.test_netlister_components import single_instance_netlist
+
+    netlist = single_instance_netlist(
+        "schmitt_trigger", params={"threshold": 0.0, "hysteresis": 0.3},
+    )
+    circuit = elaborate(netlist, input_waves={"in0": sin_wave(1.0, 500.0)})
+    return circuit, 4e-3, 2e-6
+
+
+@pytest.mark.parametrize("name", NAMES + ["schmitt"])
 def test_chord_agrees_with_refactorizing(
     circuits, refactorizing_transient, name
 ):
-    circuit, t_end, dt = circuits[name]
+    circuit, t_end, dt = (
+        _schmitt_sine() if name == "schmitt" else circuits[name]
+    )
     registry = metrics()
     sims, counts = [], []
     for cls in (MnaSolver, refactorizing_transient):
@@ -293,10 +309,8 @@ def test_switch_flip_forces_a_refactorization():
     # flip changes the step's linear matrix, and the kept factorization
     # (assembled on the old one) must not serve that step: it begins by
     # assembling, with no chord step before.
-    circuit = every_element(feedback=False)
-    solver = MnaSolver(circuit)
+    solver = MnaSolver(every_element())
     stamps = solver.stamps
-    assert not stamps.hysteretic
     steps = []
     for name in ("assemble", "residual"):
         def logged(*args, _call=getattr(stamps, name), _name=name):
@@ -326,7 +340,7 @@ def test_switch_flip_forces_a_refactorization():
 
 
 def test_exhausted_solve_drops_the_kept_factorization():
-    solver = MnaSolver(every_element(feedback=False))
+    solver = MnaSolver(every_element())
     x = np.zeros(solver._size)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -338,36 +352,6 @@ def test_exhausted_solve_drops_the_kept_factorization():
             assert solver._kept is None
     assert len(caught) == 1
     assert "converge in 1 solve(s)" in str(caught[0].message)
-
-
-def test_hysteretic_circuit_matches_refactorizing(refactorizing_transient):
-    # The Schmitt trigger of ``test_schmitt_trigger_is_bistable``: it
-    # never reuses a factorization, so it runs bit-identical to the
-    # oracle, with the same six unconverged steps.
-    from tests.test_netlister_components import single_instance_netlist
-
-    netlist = single_instance_netlist(
-        "schmitt_trigger", params={"threshold": 0.0, "hysteresis": 0.3},
-    )
-    circuit = elaborate(netlist, input_waves={"in0": sin_wave(1.0, 500.0)})
-    registry = metrics()
-    keys = ("spice.mna.factorizations", "spice.mna.newton_exhausted")
-    results = []
-    for cls in (MnaSolver, refactorizing_transient):
-        solver = cls(circuit.circuit)
-        assert solver.stamps.hysteretic
-        before = [registry.counter(key) for key in keys]
-        with warnings.catch_warnings(record=True):
-            warnings.simplefilter("always")
-            sim = solver.transient(4e-3, 2e-6)
-        results.append((sim, [
-            registry.counter(key) - count for key, count in zip(keys, before)
-        ]))
-    (sim, counts), (ref, ref_counts) = results
-    for node in ref.voltages:
-        assert np.array_equal(sim[node], ref[node]), node
-    assert counts == ref_counts
-    assert counts[1] == 6
 
 
 @pytest.mark.parametrize("name", ["every_element", "receiver"])
@@ -448,3 +432,33 @@ def test_function_generator_keeps_oscillating(unpredicted_transient):
     # The ramp spans the ±1 V thresholds, overshooting by a few steps.
     assert 1.0 < v.max() < 1.1
     assert -1.1 < v.min() < -1.0
+
+
+@pytest.mark.parametrize("dt", [1e-6, 2e-6, 5e-6])
+def test_function_generator_period_and_peaks(dt):
+    # The oscillator oracle.  The ramp integrates ±SLOPE, the trigger
+    # flips on the first step past a threshold, and the MUX follows
+    # one step later, so the ramp turns at that step.  At these dt the
+    # thresholds fall on the step grid, where the ramp is a hair short
+    # of them, so every turn peaks one step's ramp past its threshold,
+    # at ±(V_HIGH + SLOPE·dt), and each half period runs two steps
+    # longer than the ideal triangle's.
+    result = function_generator.synthesize_function_generator()
+    circuit = elaborate(result.netlist)
+    ramp = circuit.output_nodes["ramp"]
+    registry = metrics()
+    before = registry.counter("spice.mna.newton_exhausted")
+    sim = circuit.transient(4e-3, dt, probes=[ramp])
+    assert registry.counter("spice.mna.newton_exhausted") == before
+    t, v = sim.time, sim[ramp]
+    # Upward zero crossings, interpolated between the steps.
+    up = ((v[:-1] < 0.0) & (v[1:] >= 0.0)).nonzero()[0]
+    crossings = t[up] - v[up] * (t[up + 1] - t[up]) / (v[up + 1] - v[up])
+    periods = np.diff(crossings)
+    assert len(periods) >= 2
+    expected = function_generator.expected_period() + 4 * dt
+    assert np.abs(periods / expected - 1.0).max() < 1e-3
+    turns = (np.diff(np.sign(np.diff(v))) != 0).nonzero()[0] + 1
+    assert len(turns) >= 6
+    peak = function_generator.V_HIGH + function_generator.SLOPE * dt
+    assert np.abs(np.abs(v[turns]) - peak).max() < 1e-3

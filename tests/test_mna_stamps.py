@@ -242,13 +242,8 @@ class LadderSolver(MnaSolver):
 # ---------------------------------------------------------------------------
 
 
-def every_element(feedback: bool = True) -> Circuit:
-    """One circuit with every element type and the stamping edge cases.
-
-    Its function source reads its own output, which makes the circuit
-    :attr:`~repro.spice.mna.StampTable.hysteretic`; ``feedback=False``
-    drops that input (and the circuit's flag) and keeps everything else.
-    """
+def every_element() -> Circuit:
+    """One circuit with every element type and the stamping edge cases."""
     c = Circuit("every element")
     c.vsource("VIN", "in", "GND", sin_wave(0.6, 1e3))
     c.vsource("VCTL", "ctl", "0", sin_wave(1.0, 2e3))
@@ -268,11 +263,8 @@ def every_element(feedback: bool = True) -> Circuit:
     c.resistor("R5", "amp", "0", 1e4)
     # Inputs: an ordinary node, ground, the output itself (feedback)
     # and the same node twice.
-    inputs = ["buf", "0", "fx", "mid", "mid"]
-    if not feedback:
-        inputs[2] = "0"
     c.function_source(
-        "F1", "fx", inputs,
+        "F1", "fx", ["buf", "0", "fx", "mid", "mid"],
         lambda a, g, y, m1, m2: 0.3 * math.tanh(a + m1 * m2) - 0.1 * y + g,
     )
     c.resistor("R6", "fx", "0", 1e4)

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.apps import function_generator
 from repro.diagnostics import SimulationError
+from repro.flow import synthesize
 from repro.instrument import metrics
 from repro.robust.guards import (
     ILL_CONDITION_THRESHOLD,
@@ -17,6 +17,15 @@ from repro.robust.guards import (
 )
 from repro.spice import elaborate
 from repro.spice.mna import Circuit, MnaSolver, _NewtonSystem, dc
+
+#: ``y = u ** 1.5`` through a log core and an antilog core
+LOG_EXP_SOURCE = """
+ENTITY e IS PORT (QUANTITY u : IN real; QUANTITY y : OUT real); END ENTITY;
+ARCHITECTURE a OF e IS
+BEGIN
+  y == exp(1.5 * log(u));
+END ARCHITECTURE;
+"""
 
 
 class TestConditionEstimate:
@@ -110,10 +119,12 @@ class TestSolverIntegration:
             MnaSolver(circuit).dc_operating_point()
 
     def test_exhausted_newton_warns_once_per_analysis(self):
-        # The function generator's Schmitt trigger flips within single
-        # steps, and a few of those Newton solves hit max_iter.
-        result = function_generator.synthesize_function_generator()
-        solver = MnaSolver(elaborate(result.netlist).circuit)
+        # The log→exp core's first step diverges from the all-zero
+        # start (the log floor is flat there) and hits max_iter.
+        result = synthesize(LOG_EXP_SOURCE)
+        solver = MnaSolver(
+            elaborate(result.netlist, input_waves={"u": dc(2.0)}).circuit
+        )
         newton = solver._newton
         exhausted_steps = []
 
@@ -129,15 +140,17 @@ class TestSolverIntegration:
         before = registry.counter("spice.mna.newton_exhausted")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            solver.transient(5e-4, 2e-6)
+            solver.transient(1e-3, 1e-5)
         exhausted = registry.counter("spice.mna.newton_exhausted") - before
         assert exhausted == len(exhausted_steps) >= 1
-        assert [w.category for w in caught] == [NumericalWarning]
+        # The other warning is the once-per-analysis condition estimate.
+        assert [w.category for w in caught] == [NumericalWarning] * 2
+        assert "ill-conditioned" in str(caught[0].message)
         t, dt, prev, x = exhausted_steps[0]
         A, b = _NewtonSystem(solver.stamps, t, dt, prev, prev)(x)
         residual = np.abs(A @ x - b)
         worst = solver.unknown_labels[int(residual.argmax())]
-        assert str(caught[0].message) == (
+        assert str(caught[1].message) == (
             f"Newton did not converge in {exhausted} solve(s) of 'main'; "
             f"the first, at t={t:g} s, stopped at residual "
             f"{residual.max():.2e} with {worst} the worst unknown; those "
