@@ -19,7 +19,9 @@ one :class:`LinearSolver` interface with three implementations:
 ``sparse``
     ``scipy.sparse.linalg.splu``, worthwhile past a node-count
     threshold.  scipy is an *optional* dependency: without it the
-    sparse backend is never selected.
+    sparse backend is never selected.  It is imported on first sparse
+    use, not with this module, so a process whose systems all stay
+    below the threshold never pays scipy's import.
 
 The guards live at this boundary, in :class:`AnalysisGuard`, instead of
 being duplicated per call site: the singular error message (assembled
@@ -42,6 +44,8 @@ The engine counts each choice on ``spice.linalg.backend.<name>``.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import warnings
 from typing import Sequence
 
@@ -56,18 +60,43 @@ from repro.robust.guards import (
     describe_singular_system,
 )
 
-#: unknown count from which the sparse backend is selected
-SPARSE_THRESHOLD = 64
+#: unknown count from which the sparse backend is selected.  Measured
+#: on ``rc_ladder_circuit`` on a 2-vCPU x86-64 host.  Warm: one solve
+#: of ``G + C/dt`` (dense vs sparse) and one 201-point AC grid (batched
+#: vs sparse).  Cold: a fresh process's first 201-point AC sweep and
+#: first 1000-step transient (two factorizations, the other steps are
+#: chord steps) without vs with the sparse backend, the latter paying
+#: scipy's import (~0.2 s):
+#:
+#:   unknowns  point solve µs  grid ms        first AC ms  first tran ms
+#:         64      29 / 114     11.0 / 28.3
+#:        128     146 / 188     67.8 / 71.3     100 / 262      52 / 240
+#:        192     334 / 291    147.6 / 84.3     271 / 347      74 / 258
+#:        256     597 / 416    282.5 / 132.2    677 / 398     106 / 307
+#:
+#: Warm, sparse wins a grid from ~160 unknowns and a point solve from
+#: ~192; counting the import, 256 is the first measured size where the
+#: sweep that selects it comes out ahead.  A transient gains nothing at
+#: any of these sizes.
+SPARSE_THRESHOLD = 256
 
-try:  # scipy is optional: without it the sparse backend is never selected
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
+#: whether scipy is installed, located without importing it; cleared
+#: when the first sparse selection finds that it cannot be imported
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised on the no-scipy CI leg
-    _csc_matrix = None
-    _splu = None
-    HAVE_SCIPY = False
+
+def _import_scipy_sparse() -> bool:
+    """Import ``scipy.sparse.linalg`` on the first sparse selection;
+    ``False`` without scipy, or when that import fails (which also
+    clears :data:`HAVE_SCIPY`, so the sparse backend is never
+    selected)."""
+    global HAVE_SCIPY
+    if HAVE_SCIPY:
+        try:
+            import scipy.sparse.linalg  # noqa: F401
+        except ImportError:
+            HAVE_SCIPY = False
+    return HAVE_SCIPY
 
 
 class LinearSolver:
@@ -128,8 +157,11 @@ class SparseSolver(LinearSolver):
     name = "sparse"
 
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         try:
-            factored = _splu(_csc_matrix(A))
+            factored = splu(csc_matrix(A))
             return factored.solve(np.asarray(b, dtype=A.dtype))
         except (RuntimeError, ValueError) as err:
             # splu reports exact singularity as RuntimeError; normalize
@@ -152,7 +184,7 @@ def resolve_backend(size: int = 0, grid: int = 1) -> LinearSolver:
     solving ``grid`` systems: sparse from :data:`SPARSE_THRESHOLD`
     unknowns (when scipy is importable), batched for a grid of
     systems, dense otherwise."""
-    if HAVE_SCIPY and size >= SPARSE_THRESHOLD:
+    if size >= SPARSE_THRESHOLD and _import_scipy_sparse():
         return SparseSolver()
     if grid > 1:
         return BatchedSolver()
@@ -216,8 +248,26 @@ class AnalysisGuard:
                 f"ill-conditioned (cond ~ {cond:.2e} > "
                 f"{ILL_CONDITION_THRESHOLD:.0e}); {self.condition_text}",
                 NumericalWarning,
-                stacklevel=4,
+                stacklevel=caller_stacklevel(),
             )
+
+
+def caller_stacklevel() -> int:
+    """The ``stacklevel`` of a warning raised in the function calling
+    this one that attributes it to the first frame outside
+    ``repro.spice``: the user's line, however deep the engines' call
+    chain runs below it (``contextlib`` frames, through which
+    :class:`~repro.spice.mna.MnaSolver` analyses end, count as inside).
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module != "contextlib" and not (
+            module + "."
+        ).startswith("repro.spice."):
+            break
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 def guarded_solve(

@@ -76,6 +76,7 @@ from repro.robust.guards import NumericalWarning, check_finite
 from repro.spice.linalg import (
     AnalysisGuard,
     LinearSolver,
+    caller_stacklevel,
     guarded_inverse,
     guarded_solve,
     resolve_backend,
@@ -1086,7 +1087,7 @@ class MnaSolver:
                 f"stopped at residual {residual:.2e} with {worst} the "
                 "worst unknown; those points are best-effort iterates",
                 NumericalWarning,
-                stacklevel=4,
+                stacklevel=caller_stacklevel(),
             )
 
     # -- public analyses ----------------------------------------------------------------

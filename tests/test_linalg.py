@@ -7,6 +7,11 @@ Backends are compared by pinning both engines to one of them with the
 ``force_backend`` fixture.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -68,6 +73,55 @@ class TestBackendSelection:
         size = linalg_module.SPARSE_THRESHOLD
         assert isinstance(resolve_backend(size=size), DenseSolver)
         assert isinstance(resolve_backend(size=size, grid=100), BatchedSolver)
+
+
+class TestLazyScipy:
+    """scipy is imported on first sparse use, not with the package."""
+
+    @pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
+    def test_package_import_leaves_scipy_unloaded(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        script = (
+            "import sys\n"
+            "import repro.cli, repro.flow, repro.verify, repro.spice\n"
+            "assert 'scipy' not in sys.modules, sorted(\n"
+            "    m for m in sys.modules if m.startswith('scipy'))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        size = linalg_module.SPARSE_THRESHOLD
+        solver = resolve_backend(size=size)
+        assert isinstance(solver, SparseSolver)
+        A = (
+            np.diag(np.full(size, 3.0))
+            - np.diag(np.ones(size - 1), 1)
+            - np.diag(np.ones(size - 1), -1)
+        )
+        b = np.arange(1.0, size + 1.0)
+        assert np.allclose(
+            solver.solve(A, b), DenseSolver().solve(A, b),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_failed_scipy_import_falls_back(self, monkeypatch):
+        # scipy is found but will not import: the first sparse
+        # selection falls back as if it were not installed.
+        monkeypatch.setattr(linalg_module, "HAVE_SCIPY", True)
+        monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
+        size = linalg_module.SPARSE_THRESHOLD
+        assert isinstance(resolve_backend(size=size), DenseSolver)
+        assert not linalg_module.HAVE_SCIPY
+        assert isinstance(resolve_backend(size=size, grid=100), BatchedSolver)
+        circuit = rc_ladder(n_sections=size)
+        registry = metrics()
+        before = registry.counter("spice.linalg.backend.dense")
+        sim = simulate_transient(circuit, 1e-5, 1e-6, probes=[f"n{size}"])
+        assert registry.counter("spice.linalg.backend.dense") == before + 1
+        assert np.all(np.isfinite(sim.voltages[f"n{size}"]))
 
 
 class TestSolverEquivalence:

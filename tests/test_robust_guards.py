@@ -16,7 +16,9 @@ from repro.robust.guards import (
     singular_suspects,
 )
 from repro.spice import elaborate
+from repro.spice.ac import ac_sweep
 from repro.spice.mna import Circuit, MnaSolver, _NewtonSystem, dc
+from tests.test_mna_stamps import every_element
 
 #: ``y = u ** 1.5`` through a log core and an antilog core
 LOG_EXP_SOURCE = """
@@ -167,3 +169,47 @@ class TestSolverIntegration:
             warnings.simplefilter("error", NumericalWarning)
             with pytest.raises(SimulationError, match="non-finite"):
                 MnaSolver(circuit).dc_operating_point()
+
+
+def _log_exp_circuit():
+    result = synthesize(LOG_EXP_SOURCE)
+    return elaborate(result.netlist, input_waves={"u": dc(2.0)})
+
+
+class TestWarningLocation:
+    """A spice warning names the caller's line, not an engine frame,
+    however many ``repro.spice`` frames lie between them."""
+
+    @pytest.mark.parametrize(
+        "analysis, kinds",
+        [
+            (
+                lambda: MnaSolver(every_element()).dc_operating_point(),
+                {"Newton"},
+            ),
+            (
+                lambda: ac_sweep(
+                    every_element(), 10.0, 1e5, points_per_decade=5,
+                    probes=["mid"],
+                ),
+                {"Newton"},
+            ),
+            (
+                lambda: MnaSolver(_log_exp_circuit().circuit).transient(
+                    1e-3, 1e-5
+                ),
+                {"Newton", "MNA"},
+            ),
+            (
+                lambda: _log_exp_circuit().transient(1e-3, 1e-5),
+                {"Newton", "MNA"},
+            ),
+        ],
+        ids=["dc", "ac_bias_point", "mna_transient", "elaborated_transient"],
+    )
+    def test_warning_points_at_the_caller(self, analysis, kinds):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            analysis()
+        assert {str(w.message).split()[0] for w in caught} == kinds
+        assert [w.filename for w in caught] == [__file__] * len(caught)
