@@ -400,6 +400,210 @@ def walking_interpreter():
 
 
 @pytest.fixture
+def scanning_lexer():
+    """The reference tokenizer the master-pattern lexer is compared to.
+
+    A function ``(text, filename) -> tokens`` that scans the source one
+    character at a time with ``_peek``/``_advance``, the way the lexer
+    did before it matched one compiled pattern per token: it counts
+    lines and columns as it advances, skips whitespace and ``--``
+    comments in a loop, and picks the token with an if-ladder on the
+    next one or two characters.  Numeric literals take
+    ``str.isdecimal`` digits only, the rule the production lexer
+    follows.
+    """
+    from repro.diagnostics import LexerError, SourceLocation
+    from repro.vass.lexer import KEYWORDS, Token, TokenKind
+
+    compound = {
+        "==": TokenKind.EQ_EQ,
+        "=>": TokenKind.ARROW,
+        ":=": TokenKind.ASSIGN,
+        "<=": TokenKind.SIGNAL_ASSIGN,
+        "<>": TokenKind.BOX,
+        ">=": TokenKind.GE,
+        "/=": TokenKind.NE,
+        "**": TokenKind.DOUBLE_STAR,
+    }
+    simple = {
+        "(": TokenKind.LPAREN,
+        ")": TokenKind.RPAREN,
+        "[": TokenKind.LBRACKET,
+        "]": TokenKind.RBRACKET,
+        ";": TokenKind.SEMICOLON,
+        ",": TokenKind.COMMA,
+        "&": TokenKind.AMPERSAND,
+        "+": TokenKind.PLUS,
+        "-": TokenKind.MINUS,
+        "|": TokenKind.BAR,
+        ":": TokenKind.COLON,
+        ".": TokenKind.DOT,
+        "*": TokenKind.STAR,
+        "/": TokenKind.SLASH,
+        "<": TokenKind.LT,
+        ">": TokenKind.GT,
+        "=": TokenKind.EQ,
+    }
+    attribute_prefixes = (
+        TokenKind.IDENTIFIER,
+        TokenKind.RPAREN,
+        TokenKind.RBRACKET,
+        TokenKind.STRING,
+        TokenKind.CHARACTER,
+        TokenKind.INTEGER,
+        TokenKind.REAL,
+    )
+
+    class ScanningLexer:
+        def __init__(self, text, filename):
+            self._text = text
+            self._filename = filename
+            self._pos = 0
+            self._line = 1
+            self._column = 1
+            self._prev_allows_attribute = False
+
+        def _location(self):
+            return SourceLocation(self._line, self._column, self._filename)
+
+        def _peek(self, offset=0):
+            index = self._pos + offset
+            if index >= len(self._text):
+                return ""
+            return self._text[index]
+
+        def _advance(self, count=1):
+            for ch in self._text[self._pos : self._pos + count]:
+                if ch == "\n":
+                    self._line += 1
+                    self._column = 1
+                else:
+                    self._column += 1
+            self._pos += count
+
+        def _skip_whitespace_and_comments(self):
+            while True:
+                ch = self._peek()
+                if ch and ch in " \t\r\n\f\v":
+                    self._advance()
+                elif ch == "-" and self._peek(1) == "-":
+                    while self._peek() and self._peek() != "\n":
+                        self._advance()
+                else:
+                    return
+
+        def _scan_identifier(self, loc):
+            start = self._pos
+            while self._peek().isalnum() or self._peek() == "_":
+                self._advance()
+            raw = self._text[start : self._pos]
+            if raw.endswith("_") or "__" in raw:
+                raise LexerError(f"malformed identifier {raw!r}", loc)
+            lowered = raw.lower()
+            if lowered in KEYWORDS:
+                return Token(TokenKind.KEYWORD, lowered, loc)
+            return Token(TokenKind.IDENTIFIER, lowered, loc)
+
+        def _scan_number(self, loc):
+            start = self._pos
+            is_real = False
+
+            def scan_digits():
+                while self._peek().isdecimal() or self._peek() == "_":
+                    self._advance()
+
+            scan_digits()
+            if self._peek() == "." and self._peek(1).isdecimal():
+                is_real = True
+                self._advance()
+                scan_digits()
+            if self._peek() in "eE" and (
+                self._peek(1).isdecimal()
+                or (self._peek(1) in "+-" and self._peek(2).isdecimal())
+            ):
+                is_real = True
+                self._advance()
+                if self._peek() in "+-":
+                    self._advance()
+                scan_digits()
+            raw = self._text[start : self._pos].replace("_", "")
+            kind = TokenKind.REAL if is_real else TokenKind.INTEGER
+            return Token(kind, raw, loc)
+
+        def _scan_string(self, loc):
+            self._advance()  # opening quote
+            chars = []
+            while True:
+                ch = self._peek()
+                if not ch or ch == "\n":
+                    raise LexerError("unterminated string literal", loc)
+                if ch == '"':
+                    if self._peek(1) == '"':  # doubled quote escapes itself
+                        chars.append('"')
+                        self._advance(2)
+                        continue
+                    self._advance()
+                    return Token(TokenKind.STRING, "".join(chars), loc)
+                chars.append(ch)
+                self._advance()
+
+        def _scan_character(self, loc):
+            self._advance()  # opening apostrophe
+            ch = self._peek()
+            if not ch or ch == "\n":
+                raise LexerError("unterminated character literal", loc)
+            self._advance()
+            if self._peek() != "'":
+                raise LexerError(
+                    "character literal must be a single character", loc
+                )
+            self._advance()
+            return Token(TokenKind.CHARACTER, ch, loc)
+
+        def next_token(self):
+            self._skip_whitespace_and_comments()
+            loc = self._location()
+            ch = self._peek()
+            if not ch:
+                token = Token(TokenKind.EOF, "", loc)
+            elif ch.isalpha():
+                token = self._scan_identifier(loc)
+            elif ch.isdecimal():
+                token = self._scan_number(loc)
+            elif ch == '"':
+                token = self._scan_string(loc)
+            elif ch == "'":
+                if self._prev_allows_attribute:
+                    self._advance()
+                    token = Token(TokenKind.APOSTROPHE, "'", loc)
+                else:
+                    token = self._scan_character(loc)
+            elif ch + self._peek(1) in compound:
+                pair = ch + self._peek(1)
+                self._advance(2)
+                token = Token(compound[pair], pair, loc)
+            elif ch in simple:
+                self._advance()
+                token = Token(simple[ch], ch, loc)
+            else:
+                raise LexerError(f"unexpected character {ch!r}", loc)
+            self._prev_allows_attribute = token.kind in attribute_prefixes or (
+                token.kind is TokenKind.KEYWORD and token.value == "all"
+            )
+            return token
+
+    def tokenize(text, filename="<string>"):
+        lexer = ScanningLexer(text, filename)
+        tokens = []
+        while True:
+            tokens.append(lexer.next_token())
+            if tokens[-1].kind is TokenKind.EOF:
+                return tokens
+
+    return tokenize
+
+
+@pytest.fixture
 def unpredicted_transient():
     """The reference solver the predicted-start tests compare to.
 

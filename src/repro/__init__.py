@@ -21,31 +21,41 @@ batch runs — returning a :class:`SynthesisResult`; every error the
 flow raises deliberately derives from :class:`VaseError`.
 """
 
-from repro.compiler import CompilerOptions, compile_design
-from repro.diagnostics import VaseError
-from repro.flow import FlowOptions, SynthesisResult, synthesize
-from repro.instrument import Tracer, metrics, trace_phase, tracing
-from repro.pipeline import ParallelOptions
-from repro.vass import analyze_source, parse_source
-from repro.verify import EquivalenceReport, verify_equivalence
+import importlib
+
+#: exported name -> the module that defines it, imported on first use
+#: so that ``import repro.cli`` (and ``vase --help``) stays cheap
+_EXPORTS = {
+    "CompilerOptions": "repro.compiler",
+    "EquivalenceReport": "repro.verify",
+    "FlowOptions": "repro.flow",
+    "ParallelOptions": "repro.pipeline",
+    "SynthesisResult": "repro.flow",
+    "Tracer": "repro.instrument",
+    "VaseError": "repro.diagnostics",
+    "analyze_source": "repro.vass",
+    "compile_design": "repro.compiler",
+    "metrics": "repro.instrument",
+    "parse_source": "repro.vass",
+    "synthesize": "repro.flow",
+    "trace_phase": "repro.instrument",
+    "tracing": "repro.instrument",
+    "verify_equivalence": "repro.verify",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CompilerOptions",
-    "EquivalenceReport",
-    "FlowOptions",
-    "ParallelOptions",
-    "SynthesisResult",
-    "Tracer",
-    "VaseError",
-    "analyze_source",
-    "compile_design",
-    "metrics",
-    "parse_source",
-    "synthesize",
-    "trace_phase",
-    "tracing",
-    "verify_equivalence",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

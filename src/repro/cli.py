@@ -59,12 +59,7 @@ import argparse
 import sys
 from typing import Optional
 
-from repro.apps import ALL_APPLICATIONS, EXTRA_APPLICATIONS
-from repro.compiler import compile_design
 from repro.diagnostics import VaseError
-from repro.flow import synthesize
-from repro.spice import to_spice_deck
-from repro.vhif.dot import design_to_dot
 
 
 def _positive_int(text: str) -> int:
@@ -112,6 +107,8 @@ def _resolve_parallel(args: argparse.Namespace):
 
 
 def _load_source(spec: str) -> str:
+    from repro.apps import ALL_APPLICATIONS, EXTRA_APPLICATIONS
+
     if spec in ALL_APPLICATIONS:
         return ALL_APPLICATIONS[spec].VASS_SOURCE
     if spec in EXTRA_APPLICATIONS:
@@ -122,12 +119,17 @@ def _load_source(spec: str) -> str:
 
 def _source_filename(spec: str) -> str:
     """The name diagnostics should carry for ``spec``."""
+    from repro.apps import ALL_APPLICATIONS, EXTRA_APPLICATIONS
+
     if spec in ALL_APPLICATIONS or spec in EXTRA_APPLICATIONS:
         return f"<{spec}>"
     return spec
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from repro.compiler import compile_design
+    from repro.vhif.dot import design_to_dot
+
     source = _load_source(args.file)
     design = compile_design(
         source,
@@ -144,7 +146,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
-    from repro.flow import FlowOptions
+    from repro.flow import FlowOptions, synthesize
     from repro.instrument import JsonlSink, TelemetryBus, resolve_ledger
     from repro.pipeline import ArtifactCache
 
@@ -241,7 +243,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.flow import FlowOptions
+    from repro.flow import FlowOptions, synthesize
     from repro.instrument.explain import narrate, render_exploration_html
     from repro.vhif.dot import decision_tree_to_dot
 
@@ -292,6 +294,9 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_spice(args: argparse.Namespace) -> int:
+    from repro.flow import synthesize
+    from repro.spice import to_spice_deck
+
     source = _load_source(args.file)
     result = synthesize(
         source,
@@ -305,6 +310,7 @@ def _cmd_spice(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import math
 
+    from repro.flow import synthesize
     from repro.verify import verify_equivalence
 
     source = _load_source(args.file)
@@ -329,6 +335,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ac(args: argparse.Namespace) -> int:
+    from repro.flow import synthesize
     from repro.spice import ac_sweep, dc, elaborate
 
     source = _load_source(args.file)
@@ -374,6 +381,7 @@ def _cmd_ac(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.flow import synthesize
     from repro.report import generate_report
 
     source = _load_source(args.file)
@@ -502,6 +510,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json as json_module
 
+    from repro.flow import synthesize
     from repro.instrument import metrics, render_prometheus
     from repro.instrument.metrics import format_table
 
@@ -696,6 +705,9 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.apps import ALL_APPLICATIONS
+    from repro.flow import synthesize
+
     del args
     header = (
         f"{'Application':<20} {'blocks':>6} {'states':>6} {'datapath':>8}  "
@@ -718,6 +730,8 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_examples(args: argparse.Namespace) -> int:
+    from repro.apps import ALL_APPLICATIONS, EXTRA_APPLICATIONS
+
     del args
     for name, module in {**ALL_APPLICATIONS, **EXTRA_APPLICATIONS}.items():
         doc = (module.__doc__ or "").strip().splitlines()[0]

@@ -40,6 +40,7 @@ untouched.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
@@ -84,6 +85,14 @@ ALL_STAGES: Tuple[StageDef, ...] = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _default_library_fingerprint() -> str:
+    """``library_fingerprint(default_library())``, once per process."""
+    from repro.library import default_library
+
+    return library_fingerprint(default_library())
+
+
 class PipelineSession:
     """One design bound to a cache: the stage graph of a synthesis run.
 
@@ -113,9 +122,13 @@ class PipelineSession:
         self.architecture_name = architecture_name
         self.source_filename = source_filename
         self.options = options if options is not None else FlowOptions()
-        self.library = library if library is not None else default_library()
         self.cache = cache if cache is not None else ArtifactCache()
-        self.library_fp = library_fingerprint(self.library)
+        if library is None:
+            self.library = default_library()
+            self.library_fp = _default_library_fingerprint()
+        else:
+            self.library = library
+            self.library_fp = library_fingerprint(library)
 
     # -- the generic stage runner -----------------------------------------
 

@@ -1,4 +1,4 @@
-"""Hand-written lexer for VASS, the VHDL-AMS subset for synthesis.
+"""Lexer for VASS, the VHDL-AMS subset for synthesis.
 
 The lexer follows VHDL lexical rules: identifiers and reserved words are
 case-insensitive, comments run from ``--`` to end of line, character
@@ -7,13 +7,18 @@ also introduces attribute names (``line'ABOVE``).  Disambiguation between
 the two uses of ``'`` follows the VHDL rule: an apostrophe directly after
 an identifier, right parenthesis or literal starts an attribute, otherwise
 it starts a character literal.
+
+Each token is one match of a compiled master pattern, which also skips
+the whitespace and comments before it; lines and columns are counted
+from the newlines in those skips.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.diagnostics import LexerError, SourceLocation
 
@@ -163,18 +168,56 @@ class Token:
         return f"{self.kind.name}({self.value!r})@{self.location}"
 
 
-_SIMPLE_DELIMITERS = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ";": TokenKind.SEMICOLON,
-    ",": TokenKind.COMMA,
-    "&": TokenKind.AMPERSAND,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "|": TokenKind.BAR,
+#: Delimiter text to token kind, for the ``delim`` group below.
+_DELIMITERS = {
+    kind.value: kind
+    for kind in TokenKind
+    if not kind.value[0].isalpha()
+    and kind not in (TokenKind.APOSTROPHE, TokenKind.EOF)
 }
+
+#: Token kinds after which an apostrophe starts an attribute name.
+_ATTRIBUTE_PREFIXES = frozenset(
+    {
+        TokenKind.IDENTIFIER,
+        TokenKind.RPAREN,
+        TokenKind.RBRACKET,
+        TokenKind.STRING,
+        TokenKind.CHARACTER,
+        TokenKind.INTEGER,
+        TokenKind.REAL,
+    }
+)
+
+# One match per token: a skip of whitespace and ``--`` comments, then
+# exactly one named group.  ``other`` catches every character no token
+# can start with (and an unterminated string's opening quote), so some
+# group always matches right after the skip, which is never backtracked
+# into.  ``\d`` is ``str.isdecimal`` (what ``int``/``float`` accept) and
+# ``\w`` is ``str.isalnum`` or ``_``; an identifier must also start
+# with a letter, which ``tokenize`` checks.  A closing quote may not be
+# followed by another (``""`` escapes itself).
+_TOKEN = re.compile(
+    r"""
+    [ \t\r\n\f\v]*(?:--[^\n]*[ \t\r\n\f\v]*)*
+    (?:
+        (?P<real>\d[\d_]*(?:\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?|[eE][+-]?\d[\d_]*))
+      | (?P<integer>\d[\d_]*)
+      | (?P<word>\w+)
+      | (?P<string>"(?:[^"\n]|"")*"(?!"))
+      | (?P<apostrophe>')
+      | (?P<delim>==|=>|:=|<=|<>|>=|/=|\*\*|[()\[\];:,.&+\-*/<>=|])
+      | (?P<eof>\Z)
+      | (?P<other>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _allows_attribute(token: Token) -> bool:
+    """Whether an apostrophe right after ``token`` starts an attribute."""
+    return token.kind in _ATTRIBUTE_PREFIXES or token.is_keyword("all")
 
 
 class Lexer:
@@ -183,212 +226,69 @@ class Lexer:
     def __init__(self, text: str, filename: str = "<string>"):
         self._text = text
         self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-        # Tracks whether a following apostrophe means "attribute", i.e.
-        # the previous token can be an attribute prefix.
-        self._prev_allows_attribute = False
-
-    # -- low-level helpers -------------------------------------------------
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column, self._filename)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._text):
-            return ""
-        return self._text[index]
-
-    def _advance(self, count: int = 1) -> str:
-        consumed = self._text[self._pos : self._pos + count]
-        for ch in consumed:
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return consumed
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    # -- token scanners ----------------------------------------------------
-
-    def _scan_identifier(self) -> Token:
-        loc = self._location()
-        start = self._pos
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        raw = self._text[start : self._pos]
-        if raw.endswith("_") or "__" in raw:
-            raise LexerError(f"malformed identifier {raw!r}", loc)
-        lowered = raw.lower()
-        kind = TokenKind.KEYWORD if lowered in KEYWORDS else TokenKind.IDENTIFIER
-        return Token(kind, lowered, loc)
-
-    def _scan_number(self) -> Token:
-        loc = self._location()
-        start = self._pos
-        is_real = False
-
-        def scan_digits() -> None:
-            if not self._peek().isdigit():
-                raise LexerError("digit expected in numeric literal", self._location())
-            while self._peek().isdigit() or self._peek() == "_":
-                self._advance()
-
-        scan_digits()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_real = True
-            self._advance()
-            scan_digits()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_real = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            scan_digits()
-        raw = self._text[start : self._pos].replace("_", "")
-        kind = TokenKind.REAL if is_real else TokenKind.INTEGER
-        return Token(kind, raw, loc)
-
-    def _scan_string(self) -> Token:
-        loc = self._location()
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexerError("unterminated string literal", loc)
-            if ch == '"':
-                if self._peek(1) == '"':  # doubled quote escapes itself
-                    chars.append('"')
-                    self._advance(2)
-                    continue
-                self._advance()
-                break
-            chars.append(ch)
-            self._advance()
-        return Token(TokenKind.STRING, "".join(chars), loc)
-
-    def _scan_character(self) -> Token:
-        loc = self._location()
-        self._advance()  # opening apostrophe
-        ch = self._peek()
-        if not ch or ch == "\n":
-            raise LexerError("unterminated character literal", loc)
-        self._advance()
-        if self._peek() != "'":
-            raise LexerError("character literal must be a single character", loc)
-        self._advance()
-        return Token(TokenKind.CHARACTER, ch, loc)
-
-    # -- main loop ----------------------------------------------------------
-
-    def next_token(self) -> Token:
-        """Scan and return the next token (EOF token at end of input)."""
-        self._skip_whitespace_and_comments()
-        loc = self._location()
-        ch = self._peek()
-
-        if not ch:
-            token = Token(TokenKind.EOF, "", loc)
-        elif ch.isalpha():
-            token = self._scan_identifier()
-        elif ch.isdigit():
-            token = self._scan_number()
-        elif ch == '"':
-            token = self._scan_string()
-        elif ch == "'":
-            if self._prev_allows_attribute:
-                self._advance()
-                token = Token(TokenKind.APOSTROPHE, "'", loc)
-            else:
-                token = self._scan_character()
-        elif ch == "=" and self._peek(1) == "=":
-            self._advance(2)
-            token = Token(TokenKind.EQ_EQ, "==", loc)
-        elif ch == "=" and self._peek(1) == ">":
-            self._advance(2)
-            token = Token(TokenKind.ARROW, "=>", loc)
-        elif ch == ":" and self._peek(1) == "=":
-            self._advance(2)
-            token = Token(TokenKind.ASSIGN, ":=", loc)
-        elif ch == "<" and self._peek(1) == "=":
-            self._advance(2)
-            token = Token(TokenKind.SIGNAL_ASSIGN, "<=", loc)
-        elif ch == "<" and self._peek(1) == ">":
-            self._advance(2)
-            token = Token(TokenKind.BOX, "<>", loc)
-        elif ch == ">" and self._peek(1) == "=":
-            self._advance(2)
-            token = Token(TokenKind.GE, ">=", loc)
-        elif ch == "/" and self._peek(1) == "=":
-            self._advance(2)
-            token = Token(TokenKind.NE, "/=", loc)
-        elif ch == "*" and self._peek(1) == "*":
-            self._advance(2)
-            token = Token(TokenKind.DOUBLE_STAR, "**", loc)
-        elif ch in _SIMPLE_DELIMITERS:
-            self._advance()
-            token = Token(_SIMPLE_DELIMITERS[ch], ch, loc)
-        elif ch == ":":
-            self._advance()
-            token = Token(TokenKind.COLON, ":", loc)
-        elif ch == ".":
-            self._advance()
-            token = Token(TokenKind.DOT, ".", loc)
-        elif ch == "*":
-            self._advance()
-            token = Token(TokenKind.STAR, "*", loc)
-        elif ch == "/":
-            self._advance()
-            token = Token(TokenKind.SLASH, "/", loc)
-        elif ch == "<":
-            self._advance()
-            token = Token(TokenKind.LT, "<", loc)
-        elif ch == ">":
-            self._advance()
-            token = Token(TokenKind.GT, ">", loc)
-        elif ch == "=":
-            self._advance()
-            token = Token(TokenKind.EQ, "=", loc)
-        else:
-            raise LexerError(f"unexpected character {ch!r}", loc)
-
-        self._prev_allows_attribute = token.kind in (
-            TokenKind.IDENTIFIER,
-            TokenKind.RPAREN,
-            TokenKind.RBRACKET,
-            TokenKind.STRING,
-            TokenKind.CHARACTER,
-            TokenKind.INTEGER,
-            TokenKind.REAL,
-        ) or (token.kind is TokenKind.KEYWORD and token.value == "all")
-        return token
 
     def tokenize(self) -> List[Token]:
         """Return all tokens of the input, ending with an EOF token."""
+        text, filename = self._text, self._filename
+        match = _TOKEN.match
         tokens: List[Token] = []
+        append = tokens.append
+        pos = 0
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
         while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
+            m = match(text, pos)
+            group = m.lastgroup
+            start, end = m.span(group)
+            newlines = text.count("\n", pos, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, start) + 1
+            loc = SourceLocation(line, start - line_start + 1, filename)
+            pos = end
+            value = text[start:end]
+            if group == "delim":
+                kind = _DELIMITERS[value]
+            elif group == "word":
+                if not value[0].isalpha():
+                    raise LexerError(f"unexpected character {value[0]!r}", loc)
+                if value[-1] == "_" or "__" in value:
+                    raise LexerError(f"malformed identifier {value!r}", loc)
+                value = value.lower()
+                if value in KEYWORDS:
+                    kind = TokenKind.KEYWORD
+                else:
+                    kind = TokenKind.IDENTIFIER
+            elif group == "integer":
+                kind = TokenKind.INTEGER
+                value = value.replace("_", "")
+            elif group == "real":
+                kind = TokenKind.REAL
+                value = value.replace("_", "")
+            elif group == "string":
+                kind = TokenKind.STRING
+                value = value[1:-1].replace('""', '"')
+            elif group == "apostrophe":
+                if tokens and _allows_attribute(tokens[-1]):
+                    kind = TokenKind.APOSTROPHE
+                else:
+                    kind = TokenKind.CHARACTER
+                    value = text[pos : pos + 1]
+                    if not value or value == "\n":
+                        raise LexerError("unterminated character literal", loc)
+                    if text[pos + 1 : pos + 2] != "'":
+                        raise LexerError(
+                            "character literal must be a single character", loc
+                        )
+                    pos += 2
+            elif group == "eof":
+                append(Token(TokenKind.EOF, "", loc))
                 return tokens
+            elif value == '"':
+                raise LexerError("unterminated string literal", loc)
+            else:
+                raise LexerError(f"unexpected character {value!r}", loc)
+            append(Token(kind, value, loc))
 
 
 def tokenize(text: str, filename: str = "<string>") -> List[Token]:

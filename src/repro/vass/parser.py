@@ -15,7 +15,8 @@ units.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+import dataclasses
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.diagnostics import (
     LexerError,
@@ -984,21 +985,36 @@ class Parser:
         return expr
 
 
+def _walk_rule(cls: type) -> Union[bool, Tuple[str, ...]]:
+    """How :func:`count_ast_nodes` treats instances of ``cls``."""
+    if issubclass(cls, (list, tuple)):
+        return True
+    if dataclasses.is_dataclass(cls) and cls.__module__ == ast.__name__:
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return False
+
+
+#: class -> its walk rule: the field names of an AST node class, True
+#: for a list or tuple (walk the items), False for anything else
+_WALK_RULES: Dict[type, Union[bool, Tuple[str, ...]]] = {}
+
+
 def count_ast_nodes(node: object) -> int:
     """Number of AST nodes in a (sub)tree, by generic dataclass walk."""
-    import dataclasses
-
+    rules = _WALK_RULES
     total = 0
     stack = [node]
     while stack:
         obj = stack.pop()
-        if isinstance(obj, (list, tuple)):
+        rule = rules.get(type(obj))
+        if rule is None:
+            rule = rules[type(obj)] = _walk_rule(type(obj))
+        if rule is True:
             stack.extend(obj)
-            continue
-        if dataclasses.is_dataclass(obj) and type(obj).__module__ == ast.__name__:
+        elif rule is not False:
             total += 1
-            for f in dataclasses.fields(obj):
-                stack.append(getattr(obj, f.name))
+            for name in rule:
+                stack.append(getattr(obj, name))
     return total
 
 

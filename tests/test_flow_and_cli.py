@@ -1,5 +1,10 @@
 """Tests for the one-call flow and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -152,3 +157,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error" in err
         assert "bad.vams" in err  # file:line:col: severity: message
+
+
+class TestLazyImports:
+    """``import repro.cli`` loads no flow module; commands import them."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(self, *argv):
+        return subprocess.run(
+            [sys.executable, *argv],
+            env=dict(os.environ, PYTHONPATH=self.SRC),
+            capture_output=True, text=True, timeout=60,
+        )
+
+    def test_cli_import_leaves_the_flow_unloaded(self):
+        script = (
+            "import sys\n"
+            "import repro, repro.cli\n"
+            "heavy = [m for m in ('numpy', 'repro.compiler', 'repro.flow')\n"
+            "         if m in sys.modules]\n"
+            "assert not heavy, heavy\n"
+            "for name in repro.__all__:\n"
+            "    assert getattr(repro, name) is not None, name\n"
+            "assert 'repro.flow' in sys.modules\n"
+        )
+        run = self.run("-c", script)
+        assert run.returncode == 0, run.stderr
+
+    def test_help_exits_zero(self):
+        run = self.run("-m", "repro.cli", "--help")
+        assert run.returncode == 0, run.stderr
+        assert "usage: vase" in run.stdout
+

@@ -187,3 +187,60 @@ class TestTokenHelpers:
         toks = tokenize(text)
         assert toks[1].kind is TokenKind.EQ_EQ
         assert toks[-1].kind is TokenKind.EOF
+
+
+SUPERSCRIPT_SOURCE = """
+ENTITY sq IS
+PORT (QUANTITY x : IN real; QUANTITY y : OUT real);
+END ENTITY;
+ARCHITECTURE a OF sq IS
+BEGIN
+  y == 2.0² * x;
+END ARCHITECTURE;
+"""
+
+
+class TestNonDecimalDigits:
+    """Numeric literals take decimal digits only, what int/float accept.
+
+    ``²`` is a digit to ``str.isdigit`` but not decimal, so it ends the
+    literal and is then an unexpected character, reported with its
+    location by every entry point instead of a bare ``ValueError``.
+    """
+
+    def test_superscript_ends_the_literal(self):
+        with pytest.raises(LexerError) as info:
+            tokenize("y == 2.0² * x;", filename="sq.vhd")
+        assert info.value.bare_message == "unexpected character '²'"
+        assert str(info.value.location) == "sq.vhd:1:9"
+
+    def test_other_decimal_digits_still_lex(self):
+        (tok,) = tokenize("٣")[:-1]
+        assert tok.kind is TokenKind.INTEGER
+        assert int(tok.value) == 3
+
+    def test_superscript_continues_an_identifier(self):
+        (tok,) = tokenize("x²")[:-1]
+        assert tok.kind is TokenKind.IDENTIFIER
+
+    def test_parse_expression(self):
+        from repro.vass.parser import parse_expression
+
+        with pytest.raises(LexerError, match="unexpected character '²'"):
+            parse_expression("1²")
+
+    def test_synthesize(self):
+        from repro.flow import synthesize
+
+        with pytest.raises(LexerError) as info:
+            synthesize(SUPERSCRIPT_SOURCE)
+        assert info.value.location.line == 7
+
+    def test_vase_check(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "sq.vhd"
+        path.write_text(SUPERSCRIPT_SOURCE, encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:7:11: error: unexpected character '²'" in err

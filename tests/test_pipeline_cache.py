@@ -91,6 +91,27 @@ class TestFingerprint:
         changed = ComponentLibrary(specs=changed_specs, name=base.name)
         assert library_fingerprint(changed) != base_print
 
+    def test_default_library_fingerprinted_once(self, monkeypatch):
+        from repro.pipeline import stages
+
+        calls = []
+
+        def counting(library):
+            calls.append(library)
+            return library_fingerprint(library)
+
+        monkeypatch.setattr(stages, "library_fingerprint", counting)
+        stages._default_library_fingerprint.cache_clear()
+        first = PipelineSession(BIQUAD)
+        second = PipelineSession(BIQUAD, options=FlowOptions())
+        assert len(calls) == 1
+        assert first.library_fp == second.library_fp
+        assert first.library_fp == library_fingerprint(default_library())
+
+        # An explicit library is fingerprinted by every session.
+        PipelineSession(BIQUAD, library=default_library())
+        assert len(calls) == 2
+
     def test_session_keys_track_source_and_options(self):
         session = PipelineSession(BIQUAD, options=FlowOptions())
         other_source = PipelineSession(
